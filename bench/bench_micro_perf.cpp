@@ -3,9 +3,10 @@
 // figure; used to keep the harnesses fast enough for the full sweeps.
 //
 // ECND_BENCH_JSON=<path> additionally writes a small machine-readable perf
-// baseline (ns/sim-event, ns/RK4-step, ns per per-flow RHS eval at 10k
-// flows, sweep-task throughput) measured with dedicated timing loops — see
-// scripts/bench_baseline.sh and the committed BENCH_obs.json snapshot.
+// baseline (ns/sim-event, ns/packet-transmission, ns/RK4-step, ns per
+// per-flow RHS eval at 10k flows, sweep-task throughput) measured with
+// dedicated timing loops — see scripts/bench_baseline.sh and the committed
+// BENCH_obs.json snapshot.
 
 #include <benchmark/benchmark.h>
 
@@ -99,10 +100,18 @@ double elapsed_s(std::chrono::steady_clock::time_point t0) {
 // the committed baseline comparable across regenerations.
 constexpr int kBaselineReps = 5;
 
-/// ns per packet-simulator event: one 4-sender DCQCN incast run, wall time
-/// over events dispatched. Minimum over kBaselineReps fresh runs.
-double measure_ns_per_sim_event() {
-  double best = std::numeric_limits<double>::infinity();
+/// Packet-simulator cost of one 4-sender DCQCN incast run: wall time per
+/// event dispatched and per packet transmission (Port::tx_packets over every
+/// NIC and switch port). Eliding cheap events raises the per-event figure
+/// while the run gets faster; the per-transmission figure follows the cost
+/// of the simulated work. Each is the minimum over kBaselineReps fresh runs.
+struct SimCost {
+  double ns_per_event = std::numeric_limits<double>::infinity();
+  double ns_per_pkt_tx = std::numeric_limits<double>::infinity();
+};
+
+SimCost measure_sim_cost() {
+  SimCost best;
   for (int rep = 0; rep < kBaselineReps; ++rep) {
     sim::Network net(1);
     sim::StarConfig config;
@@ -117,9 +126,19 @@ double measure_ns_per_sim_event() {
     }
     const auto t0 = std::chrono::steady_clock::now();
     net.sim().run_until(seconds(0.02));
-    const double s = elapsed_s(t0);
-    best = std::min(
-        best, s * 1e9 / static_cast<double>(net.sim().events_processed()));
+    const double ns = elapsed_s(t0) * 1e9;
+    std::uint64_t pkt_tx = 0;
+    for (const auto& host : net.hosts()) pkt_tx += host->nic().tx_packets();
+    for (const auto& sw : net.switches()) {
+      for (int p = 0; p < sw->num_ports(); ++p) {
+        pkt_tx += sw->port(p).tx_packets();
+      }
+    }
+    best.ns_per_event = std::min(
+        best.ns_per_event,
+        ns / static_cast<double>(net.sim().events_processed()));
+    best.ns_per_pkt_tx =
+        std::min(best.ns_per_pkt_tx, ns / static_cast<double>(pkt_tx));
   }
   return best;
 }
@@ -190,7 +209,7 @@ void write_baseline(const char* path) {
     std::fprintf(stderr, "[bench] cannot open ECND_BENCH_JSON path %s\n", path);
     return;
   }
-  const double sim_ns = measure_ns_per_sim_event();
+  const SimCost sim = measure_sim_cost();
   const double rk4_ns = measure_ns_per_rk4_step();
   const double flow_rhs_ns = measure_ns_per_flow_rhs();
   const double tasks_per_s = measure_sweep_tasks_per_s();
@@ -209,19 +228,22 @@ void write_baseline(const char* path) {
                "  \"machine\": {\"arch\": \"%s\", \"hw_threads\": %u},\n"
                "  \"metrics\": {\n"
                "    \"ns_per_sim_event\": {\"value\": %.1f, \"tolerance\": 0.5},\n"
+               "    \"ns_per_pkt_tx\": {\"value\": %.1f, \"tolerance\": 0.5},\n"
                "    \"ns_per_rk4_step\": {\"value\": %.1f, \"tolerance\": 0.5},\n"
                "    \"ns_per_flow_rhs\": {\"value\": %.2f, \"tolerance\": 0.5},\n"
                "    \"sweep_tasks_per_s\": {\"value\": %.0f, \"tolerance\": 0.75}\n"
                "  }\n"
                "}\n",
                git_sha != nullptr ? git_sha : "unknown", arch,
-               std::thread::hardware_concurrency(), sim_ns, rk4_ns,
-               flow_rhs_ns, tasks_per_s);
+               std::thread::hardware_concurrency(), sim.ns_per_event,
+               sim.ns_per_pkt_tx, rk4_ns, flow_rhs_ns, tasks_per_s);
   std::fclose(f);
   std::fprintf(stderr,
-               "[bench] baseline -> %s (sim event %.0fns, rk4 step %.0fns, "
-               "flow rhs %.2fns at 10k, %.0f sweep tasks/s)\n",
-               path, sim_ns, rk4_ns, flow_rhs_ns, tasks_per_s);
+               "[bench] baseline -> %s (sim event %.0fns, pkt tx %.0fns, "
+               "rk4 step %.0fns, flow rhs %.2fns at 10k, %.0f sweep "
+               "tasks/s)\n",
+               path, sim.ns_per_event, sim.ns_per_pkt_tx, rk4_ns, flow_rhs_ns,
+               tasks_per_s);
 }
 
 }  // namespace

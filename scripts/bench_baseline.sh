@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_obs.json, the machine-readable perf baseline for the two
-# engines (ns per packet-simulator event, ns per guarded RK4 step, ns per
-# per-flow RHS evaluation at 10000 DCQCN flows, sweep-task
-# dispatch throughput). Values are wall-clock: compare runs from the same
+# engines (ns per packet-simulator event and per packet transmission, ns per
+# guarded RK4 step, ns per per-flow RHS evaluation at 10000 DCQCN flows,
+# sweep-task dispatch throughput). Values are wall-clock: compare runs from the same
 # machine only — the v2 schema records a hostname-free machine descriptor
 # (arch + hw threads) and the git SHA of the measured tree, plus a per-metric
 # relative tolerance that ecnd-report uses when comparing a fresh run against

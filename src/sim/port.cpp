@@ -169,15 +169,29 @@ void Port::pfc_resume() {
   try_transmit();
 }
 
-void Port::try_transmit() {
-  if (busy_) return;
+int Port::next_priority() const {
   // Strict priority: control first; data only when not PFC-paused.
-  int prio = -1;
-  if (!queues_[kControlPriority].empty()) {
-    prio = kControlPriority;
-  } else if (!paused_ && !queues_[kDataPriority].empty()) {
-    prio = kDataPriority;
-  } else {
+  if (!queues_[kControlPriority].empty()) return kControlPriority;
+  if (!paused_ && !queues_[kDataPriority].empty()) return kDataPriority;
+  return -1;
+}
+
+void Port::wake_at_tx_done() {
+  if (wake_queued_) return;
+  wake_queued_ = true;
+  sim_.schedule_at_key(tx_done_, [this] {
+    wake_queued_ = false;
+    try_transmit();
+  });
+}
+
+void Port::try_transmit() {
+  const int prio = next_priority();
+  if (prio < 0) return;
+  if (!sim_.passed(tx_done_)) {
+    // Still serializing: the packet goes out at the completion key, exactly
+    // where an always-scheduled completion event would have sent it.
+    wake_at_tx_done();
     return;
   }
 
@@ -260,13 +274,14 @@ void Port::try_transmit() {
   if (fault.flip_ecn) pkt.ecn_marked = !pkt.ecn_marked;
 
   const PicoTime serialization = serialization_ps(pkt.size);
-  busy_ = true;
   // Transmitter frees up after serialization; the packet lands at the peer
-  // after serialization + propagation.
-  sim_.schedule_in(serialization, [this] {
-    busy_ = false;
-    try_transmit();
-  });
+  // after serialization + propagation. The completion key is reserved ahead
+  // of the arrivals, so both keep the seqs they always had; the completion
+  // itself is queued only if a packet is already waiting (enqueue,
+  // enqueue_front and pfc_resume queue it for later arrivals). A wake-up
+  // queued under the previous key has already run: that key has passed.
+  tx_done_ = sim_.reserve_key(sim_.now() + serialization);
+  if (next_priority() >= 0) wake_at_tx_done();
   if (!fault.drop) {
     const PicoTime arrival = serialization + propagation_ + fault.extra_delay;
     for (int copy = 0; copy <= fault.duplicates; ++copy) {

@@ -154,6 +154,10 @@ class Port {
 
  private:
   void try_transmit();
+  /// Priority of the packet the transmitter would send next (-1: none).
+  int next_priority() const;
+  /// Queue the transmit-complete event under its reserved key (once).
+  void wake_at_tx_done();
   /// RED marking probability for the given backlog (Equation 3).
   double marking_probability(Bytes queue) const;
   /// serialization_time(bytes, rate_) behind a two-entry memo: traffic is
@@ -189,7 +193,11 @@ class Port {
   std::deque<Packet> queues_[kNumPriorities];
   Bytes queued_bytes_[kNumPriorities] = {0, 0};
   Bytes peak_queued_bytes_ = 0;
-  bool busy_ = false;
+  /// Reserved key of the in-flight packet's transmit-complete event; the
+  /// transmitter is busy until the simulator has passed() it. The event is
+  /// queued (wake_queued_) only once a packet is waiting for the wire.
+  Simulator::EventKey tx_done_;
+  bool wake_queued_ = false;
   bool paused_ = false;
   Bytes ser_memo_bytes_[2] = {-1, -1};
   PicoTime ser_memo_ps_[2] = {0, 0};

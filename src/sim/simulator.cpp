@@ -105,7 +105,13 @@ void Simulator::check_watchdogs() {
 }
 
 bool Simulator::run_one() {
-  if (queue_.empty()) return false;
+  if (queue_.empty()) {
+    // Reserved keys never queued were no-op events; the last of them is
+    // where an always-scheduled run would have stopped the clock.
+    if (now_ < latest_reserved_) now_ = latest_reserved_;
+    cursor_ = std::max(cursor_, EventKey{now_, next_seq_});
+    return false;
+  }
   QueuedEvent ev;
   {
     obs::ProfScope heap_scope("sim.heap_pop");
@@ -114,6 +120,7 @@ bool Simulator::run_one() {
   }
   assert(ev.t >= now_);
   now_ = ev.t;
+  cursor_ = EventKey{ev.t, ev.seq};
   ++processed_;
   kEvents.add();
   obs::snapshot_tick(to_seconds(now_));
@@ -137,6 +144,8 @@ void Simulator::run_until(PicoTime t_end) {
   arm_wall_clock();
   while (!queue_.empty() && queue_.top().t <= t_end) run_one();
   if (now_ < t_end) now_ = t_end;
+  // Every key at or before t_end has now run, reserved or queued.
+  cursor_ = std::max(cursor_, EventKey{t_end, next_seq_});
   // The amortized in-loop check never fires when the queue drains first; a
   // run whose last few actions blew the budget must still abort.
   if (wall_limit_s_ > 0.0) throw_if_wall_expired();

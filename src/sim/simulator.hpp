@@ -6,6 +6,14 @@
 // exact; ties break in schedule order (FIFO), which keeps runs deterministic
 // regardless of priority-queue internals.
 //
+// A port's transmit-complete event is usually a no-op (nothing is waiting
+// when the wire frees up), so it is not queued by default: the port reserves
+// the key the event would have had (reserve_key), asks whether dispatch has
+// passed it (passed), and queues a real event under that exact key
+// (schedule_at_key) only once a packet is waiting. Every other event keeps
+// its (t, seq) key, so dispatch order is the always-scheduled order minus the
+// elided no-ops. See DESIGN.md "Simulator".
+//
 // Events live in a pooled arena: each scheduled action is placement-new'd
 // into a recycled fixed-size slot (64 inline bytes — enough for every capture
 // list in the tree, e.g. [this, pkt] at 56 bytes), so the steady-state event
@@ -14,6 +22,7 @@
 // const_cast-move-from-top() hack. Oversized or over-aligned callables fall
 // back to one heap allocation per event; nothing in-tree hits that path.
 
+#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -35,6 +44,15 @@ class Simulator {
  public:
   using Action = std::function<void()>;
 
+  /// Dispatch key. Events run in (t, seq) order; seq is unique.
+  struct EventKey {
+    PicoTime t = 0;
+    std::uint64_t seq = 0;
+    friend bool operator<(const EventKey& a, const EventKey& b) {
+      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    }
+  };
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -50,23 +68,7 @@ class Simulator {
   /// stale rate register can legitimately land a few picoseconds early).
   template <typename F>
   void schedule_at(PicoTime t, F&& action) {
-    t = clamp_schedule(t);
-    const std::uint32_t idx = acquire_slot();
-    EventSlot& slot = slot_at(idx);
-    try {
-      emplace_action(slot, std::forward<F>(action));
-    } catch (...) {
-      release_slot(idx);
-      throw;
-    }
-    try {
-      obs::ProfScope heap_scope("sim.heap_push");
-      queue_.push(QueuedEvent{t, next_seq_, idx});
-    } catch (...) {
-      slot.ops->destroy(slot);
-      release_slot(idx);
-      throw;
-    }
+    push(EventKey{clamp_schedule(t), next_seq_}, std::forward<F>(action));
     ++next_seq_;
   }
   /// Schedule `action` to run `delay` picoseconds from now.
@@ -74,6 +76,30 @@ class Simulator {
   void schedule_in(PicoTime delay, F&& action) {
     schedule_at(now_ + delay, std::forward<F>(action));
   }
+
+  /// Take the key a schedule_at(t, ...) made now would get, without queuing
+  /// anything. Until schedule_at_key() fills it, the key is an elided no-op
+  /// event: it orders every later-scheduled event exactly as the real one
+  /// would have, and run_one()/run_all() advance the clock past it when the
+  /// queue drains.
+  EventKey reserve_key(PicoTime t) {
+    t = clamp_schedule(t);
+    if (t > latest_reserved_) latest_reserved_ = t;
+    return EventKey{t, next_seq_++};
+  }
+
+  /// Queue `action` under a key from reserve_key() that has not passed().
+  template <typename F>
+  void schedule_at_key(EventKey key, F&& action) {
+    assert(!passed(key) && "reserved key already dispatched");
+    push(key, std::forward<F>(action));
+  }
+
+  /// True once dispatch has reached `key`: it orders at or before the event
+  /// being dispatched (or, between runs, the last one dispatched), or lies at
+  /// or before the horizon of the last run_until(). A default EventKey has
+  /// always passed.
+  bool passed(EventKey key) const { return !(cursor_ < key); }
 
   /// Number of schedule_at() calls that targeted the past and were clamped.
   std::uint64_t late_schedules() const { return late_schedules_; }
@@ -94,7 +120,9 @@ class Simulator {
     arm_wall_clock();
   }
 
-  /// Run the next pending event; returns false when the queue is empty.
+  /// Run the next pending event; returns false when the queue is empty
+  /// (after advancing the clock to the latest reserved key, where the last
+  /// elided event would have run).
   bool run_one();
 
   /// Run all events with time <= t_end, then advance the clock to t_end.
@@ -304,6 +332,26 @@ class Simulator {
     return chunks_[idx / kSlotsPerChunk][idx % kSlotsPerChunk];
   }
 
+  template <typename F>
+  void push(EventKey key, F&& action) {
+    const std::uint32_t idx = acquire_slot();
+    EventSlot& slot = slot_at(idx);
+    try {
+      emplace_action(slot, std::forward<F>(action));
+    } catch (...) {
+      release_slot(idx);
+      throw;
+    }
+    try {
+      obs::ProfScope heap_scope("sim.heap_push");
+      queue_.push(QueuedEvent{key.t, key.seq, idx});
+    } catch (...) {
+      slot.ops->destroy(slot);
+      release_slot(idx);
+      throw;
+    }
+  }
+
   PicoTime clamp_schedule(PicoTime t);       // counts late_schedules
   std::uint32_t acquire_slot();              // free list first, else grow
   void release_slot(std::uint32_t idx);      // push back onto the free list
@@ -313,6 +361,8 @@ class Simulator {
 
   PicoTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  EventKey cursor_;              // every key <= cursor_ has passed()
+  PicoTime latest_reserved_ = 0; // latest reserve_key() time
   std::uint64_t processed_ = 0;
   std::uint64_t late_schedules_ = 0;
   std::uint64_t event_budget_ = 0;

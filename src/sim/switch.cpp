@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
+#include "core/diagnostic.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -93,8 +95,14 @@ void Switch::receive(Packet pkt, int ingress_port) {
   {
     obs::ProfScope route_scope("sim.route");
     const auto route = routes_.find(pkt.dst_host);
-    assert(route != routes_.end() && !route->second.empty() &&
-           "no route for destination host");
+    if (route == routes_.end() || route->second.empty()) {
+      throw InvariantViolation(Diagnostic::make(
+          "Switch " + name(), "route[" + std::to_string(pkt.dst_host) + "]",
+          to_seconds(sim_.now()), static_cast<double>(pkt.dst_host),
+          "no route for destination host " + std::to_string(pkt.dst_host) +
+              " (packet from ingress port " + std::to_string(ingress_port) +
+              ")"));
+    }
     const std::vector<int>& candidates = route->second;
     egress = candidates.front();
     if (candidates.size() > 1) {
@@ -154,7 +162,12 @@ void Switch::account_dequeue(const Packet& pkt) {
   const auto idx = static_cast<std::size_t>(pkt.ingress_port);
   assert(idx < ingress_bytes_.size());
   ingress_bytes_[idx] -= pkt.size;
-  assert(ingress_bytes_[idx] >= 0);
+  if (ingress_bytes_[idx] < 0) {
+    throw InvariantViolation(Diagnostic::make(
+        "Switch " + name(), "ingress_bytes[" + std::to_string(idx) + "]",
+        to_seconds(sim_.now()), static_cast<double>(ingress_bytes_[idx]),
+        "ingress byte accounting went negative"));
+  }
   if (pfc_.enabled && ingress_paused_[idx] &&
       ingress_bytes_[idx] < pfc_.resume_threshold) {
     ingress_paused_[idx] = false;

@@ -237,6 +237,298 @@ TEST(Port, WireTimestampingRestampsData) {
   EXPECT_EQ(sink.arrivals[1].sent_at, nanoseconds(800.0));
 }
 
+// ---------------------------------------------------------------------------
+// Transmit-complete events are queued only when a packet is waiting for the
+// wire. These pin the tie order at the completion key to what an
+// always-scheduled completion event gave: the same departure times and the
+// same order of draws from the shared RNG, with only the no-op completions
+// gone from the event count.
+
+/// Records each arrival with the sim time it landed.
+class Recorder final : public Node {
+ public:
+  explicit Recorder(const Simulator& sim) : Node("rec", 0), sim_(sim) {}
+  void receive(Packet pkt, int) override {
+    arrivals.push_back({sim_.now(), pkt});
+  }
+  struct Arrival {
+    PicoTime at;
+    Packet pkt;
+  };
+  std::vector<Arrival> arrivals;
+
+ private:
+  const Simulator& sim_;
+};
+
+constexpr PicoTime kMtuTx = 800'000;  // 1000 B at 10 Gb/s
+constexpr PicoTime kCtlTx = 51'200;   // 64 B at 10 Gb/s
+
+Packet data_packet(std::uint32_t seq) {
+  Packet pkt;
+  pkt.size = 1000;
+  pkt.seq = seq;
+  return pkt;
+}
+
+Packet control_packet(PacketType type) {
+  Packet pkt;
+  pkt.type = type;
+  pkt.size = kControlPacketBytes;
+  return pkt;
+}
+
+/// 10G port onto a zero-delay link (an arrival shares its completion's
+/// timestamp: the tightest tie), wire timestamps (a data packet's sent_at
+/// is its departure time), and dequeue RED with kmin = 0, so every data
+/// departure draws exactly one uniform from the shared RNG.
+struct TxPort {
+  Simulator sim;
+  Rng rng{7};
+  Recorder sink{sim};
+  Port port{sim, rng, "p", gbps(10.0), 0};
+
+  TxPort() {
+    port.connect(&sink, 0);
+    port.set_wire_timestamping(true);
+    RedConfig red;
+    red.enabled = true;
+    red.kmin = 0;
+    red.kmax = 100'000;
+    red.pmax = 1.0;
+    port.set_red(red);
+  }
+
+  /// The n-th (1-based) uniform a fresh twin of the shared RNG yields.
+  static double nth_draw(int n) {
+    Rng twin(7);
+    double u = 0.0;
+    for (int i = 0; i < n; ++i) u = twin.uniform();
+    return u;
+  }
+};
+
+/// What an event right behind the wake-up saw at the completion time.
+struct Probe {
+  Bytes queued = -1;
+  double draw = -1.0;
+};
+
+TEST(PortTxDone, LonePacketOnIdlePortDispatchesOnlyItsArrival) {
+  TxPort f;
+  f.port.enqueue(data_packet(0));
+  f.sim.run_all();
+  EXPECT_EQ(f.sim.events_processed(), 1u);
+  ASSERT_EQ(f.sink.arrivals.size(), 1u);
+  EXPECT_EQ(f.sink.arrivals[0].at, kMtuTx);
+  EXPECT_EQ(f.sim.now(), kMtuTx);
+}
+
+TEST(PortTxDone, BurstDispatchesArrivalsPlusOneCompletionPerFollower) {
+  TxPort f;
+  constexpr int kBurst = 8;
+  for (int i = 0; i < kBurst; ++i) f.port.enqueue(data_packet(i));
+  f.sim.run_all();
+  EXPECT_EQ(f.sim.events_processed(), 2u * kBurst - 1);
+  ASSERT_EQ(f.sink.arrivals.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) {
+    const auto& a = f.sink.arrivals[static_cast<std::size_t>(i)];
+    EXPECT_EQ(a.pkt.seq, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(a.pkt.sent_at, i * kMtuTx);
+    EXPECT_EQ(a.at, (i + 1) * kMtuTx);
+  }
+  EXPECT_EQ(f.sim.now(), kBurst * kMtuTx);
+}
+
+// An event at exactly T = busy_until that was scheduled *before* the
+// completion key was reserved runs while the wire is still busy: its packet
+// waits for the completion, so the probe behind it sees it queued and takes
+// the second draw (the packet takes the third when it departs at T).
+TEST(PortTxDone, EnqueueAtBusyUntilBeforeReservedKeyWaitsForCompletion) {
+  TxPort f;
+  Probe probe;
+  f.sim.schedule_at(kMtuTx, [&] { f.port.enqueue(data_packet(1)); });
+  f.sim.schedule_at(kMtuTx, [&] {
+    probe.queued = f.port.queued_bytes();
+    probe.draw = f.rng.uniform();
+  });
+  f.port.enqueue(data_packet(0));  // reserves (T, 2)
+  f.sim.run_all();
+  EXPECT_EQ(probe.queued, 1000);
+  EXPECT_EQ(probe.draw, TxPort::nth_draw(2));
+  ASSERT_EQ(f.sink.arrivals.size(), 2u);
+  EXPECT_EQ(f.sink.arrivals[1].pkt.sent_at, kMtuTx);
+  EXPECT_EQ(f.sink.arrivals[1].at, 2 * kMtuTx);
+  // enqueue, probe, completion (a packet was waiting), two arrivals.
+  EXPECT_EQ(f.sim.events_processed(), 5u);
+}
+
+// Scheduled *after* the reservation, the same event finds the completion
+// already passed: the packet departs inside it, ahead of the probe's draw.
+TEST(PortTxDone, EnqueueAtBusyUntilAfterReservedKeyDepartsImmediately) {
+  TxPort f;
+  Probe probe;
+  f.port.enqueue(data_packet(0));  // reserves (T, 0)
+  f.sim.schedule_at(kMtuTx, [&] { f.port.enqueue(data_packet(1)); });
+  f.sim.schedule_at(kMtuTx, [&] {
+    probe.queued = f.port.queued_bytes();
+    probe.draw = f.rng.uniform();
+  });
+  f.sim.run_all();
+  EXPECT_EQ(probe.queued, 0);
+  EXPECT_EQ(probe.draw, TxPort::nth_draw(3));
+  ASSERT_EQ(f.sink.arrivals.size(), 2u);
+  EXPECT_EQ(f.sink.arrivals[1].pkt.sent_at, kMtuTx);
+  // No completion event at all: the first one was elided, the second had
+  // nothing behind it.
+  EXPECT_EQ(f.sim.events_processed(), 4u);
+}
+
+TEST(PortTxDone, PfcResumeMidSerializationReleasesDataAtCompletion) {
+  TxPort f;
+  f.port.pfc_pause();
+  f.port.enqueue(data_packet(0));                     // held by the pause
+  f.port.enqueue(control_packet(PacketType::kAck));  // on the wire until kCtlTx
+  f.sim.schedule_at(kCtlTx / 2, [&] { f.port.pfc_resume(); });
+  f.sim.run_all();
+  ASSERT_EQ(f.sink.arrivals.size(), 2u);
+  EXPECT_EQ(f.sink.arrivals[0].pkt.type, PacketType::kAck);
+  EXPECT_EQ(f.sink.arrivals[1].pkt.sent_at, kCtlTx);
+  EXPECT_EQ(f.sink.arrivals[1].at, kCtlTx + kMtuTx);
+  // resume, completion, two arrivals.
+  EXPECT_EQ(f.sim.events_processed(), 4u);
+}
+
+TEST(PortTxDone, PfcResumeAtBusyUntilKeepsItsTieOrder) {
+  for (const bool before_key : {true, false}) {
+    SCOPED_TRACE(before_key ? "resume scheduled before the reserved key"
+                            : "resume scheduled after the reserved key");
+    TxPort f;
+    Probe probe;
+    auto resume = [&] { f.port.pfc_resume(); };
+    auto look = [&] {
+      probe.queued = f.port.queued_bytes();
+      probe.draw = f.rng.uniform();
+    };
+    f.port.pfc_pause();
+    f.port.enqueue(data_packet(0));
+    if (before_key) {
+      f.sim.schedule_at(kCtlTx, resume);
+      f.sim.schedule_at(kCtlTx, look);
+      f.port.enqueue(control_packet(PacketType::kAck));
+    } else {
+      f.port.enqueue(control_packet(PacketType::kAck));
+      f.sim.schedule_at(kCtlTx, resume);
+      f.sim.schedule_at(kCtlTx, look);
+    }
+    f.sim.run_all();
+    // Before the key the data packet still waits behind the busy wire when
+    // the probe looks; after it, it has already left (taking draw 1).
+    EXPECT_EQ(probe.queued, before_key ? 1000 : 0);
+    EXPECT_EQ(probe.draw, TxPort::nth_draw(before_key ? 1 : 2));
+    ASSERT_EQ(f.sink.arrivals.size(), 2u);
+    EXPECT_EQ(f.sink.arrivals[1].pkt.sent_at, kCtlTx);
+  }
+}
+
+TEST(PortTxDone, EnqueueFrontMidSerializationJumpsQueuedData) {
+  TxPort f;
+  f.port.enqueue(data_packet(0));  // on the wire until kMtuTx
+  f.port.enqueue(data_packet(1));  // waiting: the completion is queued
+  f.sim.schedule_at(kMtuTx / 2, [&] {
+    f.port.enqueue_front(control_packet(PacketType::kPause));
+  });
+  f.sim.run_all();
+  ASSERT_EQ(f.sink.arrivals.size(), 3u);
+  EXPECT_EQ(f.sink.arrivals[1].pkt.type, PacketType::kPause);
+  EXPECT_EQ(f.sink.arrivals[1].at, kMtuTx + kCtlTx);
+  EXPECT_EQ(f.sink.arrivals[2].pkt.sent_at, kMtuTx + kCtlTx);
+  // enqueue_front, two completions, three arrivals.
+  EXPECT_EQ(f.sim.events_processed(), 6u);
+}
+
+TEST(PortTxDone, EnqueueFrontAtBusyUntilKeepsItsTieOrder) {
+  for (const bool before_key : {true, false}) {
+    SCOPED_TRACE(before_key ? "frame queued before the reserved key"
+                            : "frame queued after the reserved key");
+    TxPort f;
+    Probe probe;
+    auto pause_frame = [&] {
+      f.port.enqueue_front(control_packet(PacketType::kPause));
+    };
+    auto look = [&] {
+      probe.queued = f.port.queued_bytes();
+      probe.draw = f.rng.uniform();
+    };
+    if (before_key) {
+      f.sim.schedule_at(kMtuTx, pause_frame);
+      f.sim.schedule_at(kMtuTx, look);
+      f.port.enqueue(data_packet(0));
+    } else {
+      f.port.enqueue(data_packet(0));
+      f.sim.schedule_at(kMtuTx, pause_frame);
+      f.sim.schedule_at(kMtuTx, look);
+    }
+    f.sim.run_all();
+    EXPECT_EQ(probe.queued, before_key ? kControlPacketBytes : 0);
+    EXPECT_EQ(probe.draw, TxPort::nth_draw(2));
+    ASSERT_EQ(f.sink.arrivals.size(), 2u);
+    EXPECT_EQ(f.sink.arrivals[1].at, kMtuTx + kCtlTx);
+  }
+}
+
+TEST(PortTxDone, RunUntilAndRunAllLeaveTheClockWhereTheyDid) {
+  {
+    // run_until stops mid-serialization: the wire stays busy across runs.
+    TxPort f;
+    f.port.enqueue(data_packet(0));
+    f.sim.run_until(kMtuTx / 2);
+    EXPECT_EQ(f.sim.now(), kMtuTx / 2);
+    f.port.enqueue(data_packet(1));
+    EXPECT_EQ(f.port.queued_bytes(), 1000);
+    f.sim.run_all();
+    ASSERT_EQ(f.sink.arrivals.size(), 2u);
+    EXPECT_EQ(f.sink.arrivals[1].pkt.sent_at, kMtuTx);
+  }
+  {
+    // A run_until horizon at exactly busy_until passes the completion key,
+    // even though no event runs at or after it (the arrival is 1 us out).
+    Simulator sim;
+    Rng rng(7);
+    Recorder sink(sim);
+    Port port(sim, rng, "p", gbps(10.0), microseconds(1.0));
+    port.connect(&sink, 0);
+    port.set_wire_timestamping(true);
+    port.enqueue(data_packet(0));
+    sim.run_until(kMtuTx);
+    EXPECT_EQ(sim.now(), kMtuTx);
+    EXPECT_EQ(sim.events_processed(), 0u);
+    port.enqueue(data_packet(1));
+    EXPECT_EQ(port.queued_bytes(), 0);  // departed at once
+    sim.run_all();
+    ASSERT_EQ(sink.arrivals.size(), 2u);
+    EXPECT_EQ(sink.arrivals[1].pkt.sent_at, kMtuTx);
+  }
+  {
+    // The wire loses the last packet: no arrival is queued, but the run
+    // still ends at its completion time, as the no-op event used to make it.
+    TxPort f;
+    f.port.set_fault_hook([](const Packet&, PicoTime) {
+      FaultAction drop;
+      drop.drop = true;
+      return drop;
+    });
+    f.port.enqueue(data_packet(0));
+    f.port.enqueue(data_packet(1));
+    f.sim.run_all();
+    EXPECT_EQ(f.sim.now(), 2 * kMtuTx);
+    EXPECT_TRUE(f.sink.arrivals.empty());
+    EXPECT_EQ(f.sim.events_processed(), 1u);  // the one completion with work
+    EXPECT_FALSE(f.sim.run_one());
+    EXPECT_EQ(f.sim.now(), 2 * kMtuTx);
+  }
+}
+
 TEST(Simulator, PastScheduleClampsToNowAndIsCounted) {
   Simulator sim;
   PicoTime ran_at = -1;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/diagnostic.hpp"
 #include "proto/factories.hpp"
 #include "sim/network.hpp"
 
@@ -52,6 +53,47 @@ TEST(Network, DumbbellRoutesAcrossTrunk) {
   }
   EXPECT_EQ(d.senders.size(), 4u);
   EXPECT_EQ(d.receivers.size(), 4u);
+}
+
+// Both checks below used to be asserts, compiled out of the default
+// (-DNDEBUG) build: an unrouted packet dereferenced routes_.end() and
+// ingress accounting could silently go negative.
+TEST(Switch, UnroutedDestinationThrowsNamingSwitchAndHost) {
+  Network net(1);
+  StarConfig config;
+  config.senders = 1;
+  Star star = make_star(net, config);
+  Packet pkt;
+  pkt.size = 1000;
+  pkt.dst_host = 42;
+  try {
+    star.sw->receive(pkt, 0);
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& violation) {
+    EXPECT_EQ(violation.diagnostic().component, "Switch " + star.sw->name());
+    EXPECT_EQ(violation.diagnostic().variable, "route[42]");
+    EXPECT_EQ(violation.diagnostic().value, 42.0);
+  }
+}
+
+TEST(Switch, NegativeIngressAccountingThrowsNamingIngressPort) {
+  Network net(1);
+  StarConfig config;
+  config.senders = 2;
+  Star star = make_star(net, config);
+  // A data packet tagged with an ingress it never entered through: its
+  // departure debits bytes that were never credited.
+  Packet pkt;
+  pkt.size = 1000;
+  pkt.ingress_port = 1;
+  try {
+    star.bottleneck().enqueue(pkt);
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& violation) {
+    EXPECT_EQ(violation.diagnostic().component, "Switch " + star.sw->name());
+    EXPECT_EQ(violation.diagnostic().variable, "ingress_bytes[1]");
+    EXPECT_EQ(violation.diagnostic().value, -1000.0);
+  }
 }
 
 TEST(Network, FlowDeliveryAndFctRecord) {
