@@ -3,6 +3,10 @@
 # plain (the gate CI enforces), then with ECND_SANITIZE=ON so ASan+UBSan sweep
 # the same tests for memory and UB bugs the plain run can't see.
 #
+# Before building, the plain mode also fails if the FNV-1a offset basis or
+# the SplitMix64 multiplier appears under src/ outside src/core/hash.hpp:
+# those primitives have one home, and a hand-written copy is how one drifts.
+#
 # The plain suite runs twice, under ECND_THREADS=1 and ECND_THREADS=4: the
 # sweep engine promises results are a function of the grid, not of the
 # scheduler, and the cheapest way to keep that promise honest is to run every
@@ -79,6 +83,17 @@ if [[ "$mode" != "--sanitize-only" && "$mode" != "--tsan-only" \
       && "$mode" != "--perf" && "$mode" != "--resume-smoke" \
       && "$mode" != "--fabric-smoke" && "$mode" != "--flight-smoke" \
       && "$mode" != "--diff-smoke" ]]; then
+  echo "== hash primitives have one home (src/core/hash.hpp) =="
+  # The FNV-1a offset basis and the SplitMix64 multiplier mark hand-written
+  # copies of the primitives; every caller must use core/hash.hpp instead.
+  copies="$(grep -rniE 'cbf29ce484222325|bf58476d1ce4e5b9' src \
+    | grep -v '^src/core/hash\.hpp:' || true)"
+  if [[ -n "$copies" ]]; then
+    echo "$copies" >&2
+    echo "ERROR: hash constants outside src/core/hash.hpp (use its helpers)" >&2
+    exit 1
+  fi
+
   echo "== plain build + tests (serial and threaded sweep paths) =="
   build_suite build
   run_tests build 1

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "core/snapshot.hpp"  // fnv1a64
+#include "core/hash.hpp"
 #include "obs/metrics.hpp"
 
 namespace ecnd {

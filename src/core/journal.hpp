@@ -26,8 +26,7 @@
 // failure for the post-mortem but is deliberately re-executed on resume (the
 // retry may succeed, and a stale failure must never poison a fresh sweep).
 // Keys include the build fingerprint (git SHA), so a journal written by
-// different code never matches — "refuse and re-run", same stance as the
-// binary snapshots in core/snapshot.hpp.
+// different code never matches: refuse and re-run, never reinterpret.
 
 #include <cstdint>
 #include <cstdio>

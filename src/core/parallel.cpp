@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -54,11 +55,7 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
   // SplitMix64 finalizer (same mixer the Rng seeds through). The golden-ratio
   // pre-scramble of the index keeps base_seed^index pairs from aliasing
   // (e.g. seed 5/task 4 vs seed 4/task 5).
-  std::uint64_t z = base_seed ^ (task_index * 0x9e3779b97f4a7c15ULL +
-                                 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_mix(base_seed ^ (task_index * kGoldenGamma + kGoldenGamma));
 }
 
 SweepTiming parallel_for_each(std::size_t count,

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/hash.hpp"
+
 namespace ecnd {
 namespace {
 
@@ -10,11 +12,8 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  state += kGoldenGamma;
+  return splitmix64_mix(state);
 }
 
 }  // namespace

@@ -2,21 +2,15 @@
 
 #include <cmath>
 
+#include "core/hash.hpp"
+
 namespace ecnd::fluid {
-namespace {
-
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 double JitterProcess::value(double t) const {
   if (!enabled()) return 0.0;
   const auto bucket = static_cast<std::int64_t>(std::floor(t / interval_));
-  const std::uint64_t h = mix(seed_ ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(bucket + 0x100000)));
+  const std::uint64_t h = splitmix64_mix(
+      seed_ ^ (kGoldenGamma * static_cast<std::uint64_t>(bucket + 0x100000)));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u * amplitude_;
 }

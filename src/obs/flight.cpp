@@ -3,7 +3,6 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -14,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -112,28 +112,6 @@ TaskFlight& current_buffer() {
   return *t_flight;
 }
 
-std::string render_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-void json_escape(std::ostream& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 /// Chrome trace timestamps: sim microseconds with fixed 6-decimal rendering
 /// (identical to the instant-event tracer's ts format).
 std::string ts_us(std::int64_t ps) {
@@ -218,12 +196,11 @@ void write_flight_postcards_json(std::ostream& out) {
     const char* sep = "\n";
     for (const FlightHop& h : buf->hops) {
       out << sep << "{\"flow\":" << h.flow_id << ",\"seq\":" << h.seq
-          << ",\"port\":\"";
-      json_escape(out, h.port);
-      out << "\",\"t_in_ps\":" << h.t_in_ps << ",\"t_out_ps\":" << h.t_out_ps
+          << ",\"port\":\"" << json_escape(h.port)
+          << "\",\"t_in_ps\":" << h.t_in_ps << ",\"t_out_ps\":" << h.t_out_ps
           << ",\"queue_b\":" << h.queue_bytes
           << ",\"dwell_ps\":" << h.pause_dwell_ps
-          << ",\"mark_p\":" << render_double(h.mark_prob)
+          << ",\"mark_p\":" << json_double(h.mark_prob)
           << ",\"marked\":" << (h.marked ? "true" : "false")
           << ",\"ecmp\":[" << h.ecmp_candidates << "," << h.ecmp_choice
           << "]}";
@@ -298,12 +275,10 @@ void write_flight_timeline_json(std::ostream& out) {
         const HopSlice& s = slices[h];
         const std::uint64_t tid = base + 1 + static_cast<std::uint64_t>(h);
         out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
-            << ",\"tid\":" << tid << ",\"args\":{\"name\":\"hop " << h << " ";
-        json_escape(out, s.port);
-        out << "\"}}";
-        out << sep << "{\"name\":\"";
-        json_escape(out, s.port);
-        out << "\",\"ph\":\"X\",\"pid\":" << task << ",\"tid\":" << tid
+            << ",\"tid\":" << tid << ",\"args\":{\"name\":\"hop " << h << " "
+            << json_escape(s.port) << "\"}}";
+        out << sep << "{\"name\":\"" << json_escape(s.port)
+            << "\",\"ph\":\"X\",\"pid\":" << task << ",\"tid\":" << tid
             << ",\"ts\":" << ts_us(s.t_first_in_ps)
             << ",\"dur\":" << ts_us(s.t_last_out_ps - s.t_first_in_ps)
             << ",\"args\":{\"packets\":" << s.packets << ",\"marks\":" << s.marks
@@ -360,9 +335,9 @@ void write_flight_pausetree_json(std::ostream& out) {
       out << sep << "{\"id\":" << p.pause_id << ",\"parent\":" << p.parent_id
           << ",\"t_ps\":" << p.t_ps << ",\"switch\":" << p.switch_id
           << ",\"ingress_port\":" << p.ingress_port
-          << ",\"egress_port\":" << p.egress_port << ",\"egress\":\"";
-      json_escape(out, p.egress_name);
-      out << "\",\"trigger_flow\":" << p.trigger_flow << "}";
+          << ",\"egress_port\":" << p.egress_port << ",\"egress\":\""
+          << json_escape(p.egress_name)
+          << "\",\"trigger_flow\":" << p.trigger_flow << "}";
       sep = ",\n";
     }
     out << "\n]}";

@@ -42,6 +42,8 @@
 #include <cstdint>
 #include <iosfwd>
 
+#include "core/hash.hpp"
+
 namespace ecnd::obs {
 
 /// Default sampling modulus when ECND_FLIGHT_SAMPLE is unset: 1 in 16 flows.
@@ -118,16 +120,10 @@ std::uint64_t flight_sample();
 /// 0 entirely — whole scenarios silently record nothing. Pure — consumes no
 /// RNG, identical at any thread count.
 inline bool flight_sampled(int src_host, int dst_host, std::uint64_t flow_id) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_host)), 4);
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_host)), 4);
-  mix(flow_id, 8);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis,
+                                static_cast<std::uint32_t>(src_host), 4);
+  h = fnv1a_field(h, static_cast<std::uint32_t>(dst_host), 4);
+  h = fnv1a_field(h, flow_id, 8);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;

@@ -2,14 +2,14 @@
 
 #if !defined(ECND_OBS_DISABLED)
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "core/hash.hpp"
+#include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -17,41 +17,11 @@ namespace ecnd::obs {
 
 namespace {
 
-/// Shortest-round-trip decimal rendering: deterministic across platforms
-/// using the same IEEE doubles, unlike printf("%g") with locale and
-/// precision choices. Non-finite values render as JSON null.
-std::string render_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
 std::string render_int(std::int64_t v) { return std::to_string(v); }
 std::string render_uint(std::uint64_t v) { return std::to_string(v); }
 
 std::string render_string(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+  return '"' + json_escape(s) + '"';
 }
 
 /// FNV-1a 64-bit over the default (sim-domain) metrics dump: a compact,
@@ -60,12 +30,7 @@ std::string render_string(std::string_view s) {
 std::uint64_t metrics_digest() {
   std::ostringstream dump;
   dump_metrics_json(dump);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : dump.str()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return fnv1a64(dump.str());
 }
 
 void write_section(std::ostream& out, const char* name,
@@ -83,7 +48,7 @@ void write_section(std::ostream& out, const char* name,
 }  // namespace
 
 RunManifest& RunManifest::param(std::string_view name, double v) {
-  params_[std::string(name)] = render_double(v);
+  params_[std::string(name)] = json_double(v);
   return *this;
 }
 RunManifest& RunManifest::param(std::string_view name, std::int64_t v) {
@@ -104,12 +69,12 @@ RunManifest& RunManifest::param(std::string_view name, std::string_view v) {
 }
 
 RunManifest& RunManifest::observable(std::string_view name, double v) {
-  observables_[std::string(name)] = render_double(v);
+  observables_[std::string(name)] = json_double(v);
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name,
                                      std::optional<double> v) {
-  observables_[std::string(name)] = v ? render_double(*v) : "null";
+  observables_[std::string(name)] = v ? json_double(*v) : "null";
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name, std::int64_t v) {
@@ -133,8 +98,8 @@ RunManifest& RunManifest::failure(std::string_view cell,
   std::string obj = "{\"cell\": " + render_string(cell);
   obj += ", \"component\": " + render_string(component);
   obj += ", \"variable\": " + render_string(variable);
-  obj += ", \"sim_time\": " + render_double(sim_time);
-  obj += ", \"value\": " + render_double(value);
+  obj += ", \"sim_time\": " + json_double(sim_time);
+  obj += ", \"value\": " + json_double(value);
   obj += ", \"attempts\": " + render_int(attempts);
   obj += ", \"detail\": " + render_string(detail);
   obj += "}";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "obs/flight.hpp"
+#include "obs/json_text.hpp"
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -194,14 +194,6 @@ double bucket_percentile(const std::uint64_t* buckets, std::uint64_t count,
     seen = next;
   }
   return static_cast<double>(bucket_lower_edge(kHistogramBuckets - 1));
-}
-
-/// Shortest-round-trip decimal rendering (deterministic, locale-free).
-std::string format_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
 }
 
 void write_metrics_file(const char* path) {
@@ -408,8 +400,8 @@ void dump_metrics_json(std::ostream& out, bool include_wall) {
     }
     out << "]";
     if (base[0] > 0) {
-      out << ", \"p50\": " << format_double(bucket_percentile(base + 2, base[0], 0.5))
-          << ", \"p99\": " << format_double(bucket_percentile(base + 2, base[0], 0.99));
+      out << ", \"p50\": " << json_double(bucket_percentile(base + 2, base[0], 0.5))
+          << ", \"p99\": " << json_double(bucket_percentile(base + 2, base[0], 0.99));
     } else {
       out << ", \"p50\": null, \"p99\": null";
     }

@@ -3,7 +3,6 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -15,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -172,27 +172,6 @@ void fold_shard_into(TaskSnap& b) {
   }
 }
 
-std::string render_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-void json_escape(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -272,7 +251,7 @@ void write_metrics_ts_json(std::ostream& out) {
   for (const auto& [task, buf] : tasks) dropped_total += buf->dropped;
 
   out << "{\n  \"schema\": \"ecnd-metrics-ts-v1\",\n";
-  out << "  \"interval_s\": " << render_double(snapshot_interval()) << ",\n";
+  out << "  \"interval_s\": " << json_double(snapshot_interval()) << ",\n";
   out << "  \"dropped_samples\": " << dropped_total << ",\n";
   out << "  \"tasks\": [";
 
@@ -284,7 +263,7 @@ void write_metrics_ts_json(std::ostream& out) {
     out << "\n    {\n      \"task\": " << task << ",\n      \"t_s\": [";
     for (std::size_t i = 0; i < buf->times.size(); ++i) {
       if (i != 0) out << ", ";
-      out << render_double(buf->times[i]);
+      out << json_double(buf->times[i]);
     }
     out << "],\n      \"series\": [";
 
@@ -308,9 +287,8 @@ void write_metrics_ts_json(std::ostream& out) {
       if (!first_series) out << ",";
       first_series = false;
       const bool is_gauge = names[id].second == 1;
-      out << "\n        {\"name\": \"";
-      json_escape(out, names[id].first);
-      out << "\", \"kind\": \"" << (is_gauge ? "gauge" : "counter") << "\", ";
+      out << "\n        {\"name\": \"" << json_escape(names[id].first)
+          << "\", \"kind\": \"" << (is_gauge ? "gauge" : "counter") << "\", ";
       if (is_gauge) {
         out << "\"values\": [";
         for (std::size_t i = 0; i < col.size(); ++i) {

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/json_text.hpp"
+
 namespace ecnd::obs {
 
 #if !defined(ECND_OBS_DISABLED)
@@ -119,26 +121,10 @@ class Tracer {
 thread_local std::uint32_t t_task = 0;
 thread_local TraceBuffer* t_buffer = nullptr;
 
-void json_escape(std::ostream& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 void write_event(std::ostream& out, std::uint32_t task, const TraceEvent& e) {
   char buf[96];
-  out << "{\"name\":\"";
-  json_escape(out, e.name);
-  out << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << task << ",\"tid\":0";
+  out << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.phase
+      << "\",\"pid\":" << task << ",\"tid\":0";
   std::snprintf(buf, sizeof(buf), ",\"ts\":%.6f", e.ts_us);
   out << buf;
   if (e.phase == 'C') {

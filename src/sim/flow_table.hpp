@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "obs/metrics.hpp"
 
 namespace ecnd::sim {
@@ -37,17 +38,6 @@ inline void count_reuse() {
 inline void count_active(std::uint64_t active) {
   static const obs::Gauge kActive = obs::gauge("sim.flow_table_active_max");
   kActive.set_max(active);
-}
-
-/// SplitMix64 finalizer: full-avalanche mix so sequential flow ids spread
-/// across the index.
-inline std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
 }
 
 }  // namespace flow_table_detail
@@ -145,7 +135,7 @@ class FlowTable {
   static constexpr std::size_t kMinBuckets = 16;
 
   std::size_t bucket_of(std::uint64_t key) const {
-    return flow_table_detail::mix(key) & (index_.size() - 1);
+    return splitmix64_mix(key) & (index_.size() - 1);
   }
 
   void rehash(std::size_t buckets) {

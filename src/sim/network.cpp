@@ -4,20 +4,16 @@
 #include <deque>
 #include <unordered_map>
 
+#include "core/hash.hpp"
+
 namespace ecnd::sim {
 namespace {
 
 // Per-switch ECMP seed: SplitMix64 of (network seed, switch id), so adjacent
 // tiers hash differently and flows don't polarize onto one spine.
 std::uint64_t derive_ecmp_seed(std::uint64_t base, int switch_id) {
-  std::uint64_t x =
-      base + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(switch_id) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+  return splitmix64_mix(
+      base + kGoldenGamma * (static_cast<std::uint64_t>(switch_id) + 1));
 }
 
 }  // namespace

@@ -25,9 +25,9 @@ struct Packet {
   int dst_host = -1;        ///< destination host id (routing key)
   /// Flow identity for data/ACK/CNP. PFC frames have no flow, so kPause
   /// reuses the field to carry the pause-event id (Switch::send_pfc /
-  /// PauseCause) — causality attribution without growing the struct (Packet
-  /// must stay within the event arena's inline-capture budget; see
-  /// Simulator's kInlineActionBytes).
+  /// PauseCause) — causality attribution without growing the struct: a
+  /// port's [this, pkt] capture must fit Simulator::kInlineActionBytes, which
+  /// port.cpp static_asserts.
   std::uint64_t flow_id = 0;
   Bytes size = 0;           ///< wire size in bytes
   std::uint32_t seq = 0;    ///< data sequence (packet index within flow)

@@ -285,6 +285,9 @@ void Port::try_transmit() {
   if (!fault.drop) {
     const PicoTime arrival = serialization + propagation_ + fault.extra_delay;
     for (int copy = 0; copy <= fault.duplicates; ++copy) {
+      static_assert(sizeof(Packet) + sizeof(void*) <=
+                        Simulator::kInlineActionBytes,
+                    "[this, pkt] must fit an event slot inline");
       sim_.schedule_in(arrival, [this, pkt]() mutable {
         peer_->receive(pkt, peer_ingress_);
       });

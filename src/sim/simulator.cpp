@@ -159,169 +159,4 @@ void Simulator::run_all() {
   if (wall_limit_s_ > 0.0) throw_if_wall_expired();
 }
 
-// -- Tagged events / checkpointing ------------------------------------------
-
-void Simulator::tagged_run_and_destroy(EventSlot& s) {
-  // Copy the POD out before dispatching: the handler may schedule new events
-  // and those must not read a payload we are still aliasing.
-  const TaggedEvent ev =
-      *std::launder(reinterpret_cast<TaggedEvent*>(s.inline_buf));
-  ev.sim->dispatch_tagged(ev.tag, ev.a, ev.b);
-}
-
-const Simulator::SlotOps Simulator::kTaggedOps{
-    &Simulator::tagged_run_and_destroy,
-    // TaggedEvent is trivially destructible; teardown needs no work.
-    [](EventSlot&) {}};
-
-void Simulator::register_handler(std::uint16_t tag, TaggedHandler handler) {
-  if (handlers_.size() <= tag) handlers_.resize(std::size_t{tag} + 1);
-  handlers_[tag] = std::move(handler);
-}
-
-void Simulator::schedule_tagged_at(PicoTime t, std::uint16_t tag,
-                                   std::uint64_t a, std::uint64_t b) {
-  t = clamp_schedule(t);
-  const std::uint32_t idx = acquire_slot();
-  EventSlot& slot = slot_at(idx);
-  ::new (static_cast<void*>(slot.inline_buf)) TaggedEvent{this, a, b, tag};
-  slot.ops = &kTaggedOps;
-  try {
-    obs::ProfScope heap_scope("sim.heap_push");
-    queue_.push(QueuedEvent{t, next_seq_, idx});
-  } catch (...) {
-    release_slot(idx);
-    throw;
-  }
-  ++next_seq_;
-}
-
-void Simulator::dispatch_tagged(std::uint16_t tag, std::uint64_t a,
-                                std::uint64_t b) {
-  if (tag >= handlers_.size() || !handlers_[tag]) {
-    throw InvariantViolation(Diagnostic::make(
-        "Simulator", "tagged_event_tag", to_seconds(now_),
-        static_cast<double>(tag),
-        "tagged event fired with no registered handler (register_handler "
-        "after restore?)"));
-  }
-  handlers_[tag](a, b);
-}
-
-bool Simulator::checkpointable() const {
-  for (const QueuedEvent& e : queue_.entries()) {
-    if (slot_at(e.slot).ops != &kTaggedOps) return false;
-  }
-  return true;
-}
-
-void Simulator::save(std::ostream& out) const {
-  std::vector<QueuedEvent> pending(queue_.entries());
-  std::size_t untagged = 0;
-  for (const QueuedEvent& e : pending) {
-    if (slot_at(e.slot).ops != &kTaggedOps) ++untagged;
-  }
-  if (untagged != 0) {
-    throw SnapshotError(
-        std::to_string(untagged) +
-        " pending event(s) are closures, not tagged events; only "
-        "tagged-event simulations are checkpointable");
-  }
-  // Canonical payload order is schedule order (seq): the heap's internal
-  // layout is an implementation detail and must not leak into the bytes.
-  std::sort(pending.begin(), pending.end(),
-            [](const QueuedEvent& a, const QueuedEvent& b) {
-              return a.seq < b.seq;
-            });
-  SnapshotWriter w(SnapshotKind::kSimulator);
-  w.i64(now_);
-  w.u64(next_seq_);
-  w.u64(processed_);
-  w.u64(late_schedules_);
-  w.u64(next_unused_);  // arena size, so pool-reuse counts continue identically
-  w.u64(pending.size());
-  for (const QueuedEvent& e : pending) {
-    const TaggedEvent& ev = *std::launder(
-        reinterpret_cast<const TaggedEvent*>(slot_at(e.slot).inline_buf));
-    w.i64(e.t);
-    w.u64(e.seq);
-    w.u16(ev.tag);
-    w.u64(ev.a);
-    w.u64(ev.b);
-  }
-  w.finish(out);
-}
-
-void Simulator::restore(std::istream& in) {
-  if (next_seq_ != 0 || processed_ != 0 || !queue_.empty() ||
-      next_unused_ != 0) {
-    throw SnapshotError(
-        "restore target is not a fresh simulator (events already scheduled "
-        "or processed)");
-  }
-  SnapshotReader r(in, SnapshotKind::kSimulator);
-  const PicoTime now = r.i64();
-  const std::uint64_t next_seq = r.u64();
-  const std::uint64_t processed = r.u64();
-  const std::uint64_t late = r.u64();
-  const std::uint64_t arena = r.u64();
-  const std::uint64_t count = r.u64();
-  if (arena >= kNoSlot || count > arena) {
-    throw SnapshotError("implausible event-pool shape (arena " +
-                        std::to_string(arena) + ", pending " +
-                        std::to_string(count) + ")");
-  }
-  struct Pending {
-    PicoTime t;
-    std::uint64_t seq;
-    std::uint16_t tag;
-    std::uint64_t a;
-    std::uint64_t b;
-  };
-  std::vector<Pending> events;
-  events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Pending p;
-    p.t = r.i64();
-    p.seq = r.u64();
-    p.tag = r.u16();
-    p.a = r.u64();
-    p.b = r.u64();
-    if (p.t < now) {
-      throw SnapshotError("pending event earlier than the snapshot clock");
-    }
-    if (p.seq >= next_seq) {
-      throw SnapshotError("pending event seq beyond the sequence counter");
-    }
-    events.push_back(p);
-  }
-  r.finish();
-  // Everything validated — commit. The arena is grown directly rather than
-  // through acquire_slot() so restoring never counts sim.event_pool_reuse;
-  // pending events take slots [0, count) with their ORIGINAL (t, seq) keys,
-  // the remaining [count, arena) slots rebuild the free list, leaving the
-  // pool in exactly the shape the original simulator had at save() time.
-  while (chunks_.size() * kSlotsPerChunk < arena) {
-    chunks_.push_back(std::make_unique<EventSlot[]>(kSlotsPerChunk));
-  }
-  next_unused_ = static_cast<std::uint32_t>(arena);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(i);
-    EventSlot& slot = slot_at(idx);
-    ::new (static_cast<void*>(slot.inline_buf))
-        TaggedEvent{this, events[i].a, events[i].b, events[i].tag};
-    slot.ops = &kTaggedOps;
-    queue_.push(QueuedEvent{events[i].t, events[i].seq, idx});
-  }
-  free_head_ = kNoSlot;
-  for (std::uint32_t idx = static_cast<std::uint32_t>(count);
-       idx < next_unused_; ++idx) {
-    release_slot(idx);
-  }
-  now_ = now;
-  next_seq_ = next_seq;
-  processed_ = processed;
-  late_schedules_ = late;
-}
-
 }  // namespace ecnd::sim

@@ -15,8 +15,9 @@
 // elided no-ops. See DESIGN.md "Simulator".
 //
 // Events live in a pooled arena: each scheduled action is placement-new'd
-// into a recycled fixed-size slot (64 inline bytes — enough for every capture
-// list in the tree, e.g. [this, pkt] at 56 bytes), so the steady-state event
+// into a recycled fixed-size slot (kInlineActionBytes = 64 — enough for
+// every capture list in the tree; the largest, a port's [this, pkt], is
+// checked against it at compile time in port.cpp), so the steady-state event
 // loop performs no allocator traffic at all. The priority queue itself holds
 // only POD {time, seq, slot} entries, which also removes the old
 // const_cast-move-from-top() hack. Oversized or over-aligned callables fall
@@ -27,14 +28,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/snapshot.hpp"
 #include "core/units.hpp"
 #include "obs/profile.hpp"
 
@@ -52,6 +51,11 @@ class Simulator {
       return a.t != b.t ? a.t < b.t : a.seq < b.seq;
     }
   };
+
+  /// Inline capture budget of one event slot. An action up to this size
+  /// (and max_align_t alignment) is stored in the slot itself; a larger one
+  /// costs a heap allocation per event.
+  static constexpr std::size_t kInlineActionBytes = 64;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -131,53 +135,8 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
-  // -- Checkpointable (tagged) events ---------------------------------------
-  //
-  // Closures cannot be serialized, so arbitrary schedule_at() events make a
-  // simulator non-checkpointable. Tagged events are the serializable subset:
-  // a POD {tag, a, b} payload dispatched through a handler registered under
-  // `tag`. Handlers themselves are code, not state — after restore(), the
-  // application re-registers the same handlers and the pending payloads
-  // resume through them with their original (time, seq) ordering intact.
-
-  /// Handler invoked with the event's two payload words.
-  using TaggedHandler = std::function<void(std::uint64_t, std::uint64_t)>;
-
-  /// Install (or replace) the handler for `tag`. Dispatching a tag with no
-  /// handler throws InvariantViolation naming the tag and sim time.
-  void register_handler(std::uint16_t tag, TaggedHandler handler);
-
-  /// Schedule a tagged event at absolute time `t` (past times clamp to now,
-  /// like schedule_at).
-  void schedule_tagged_at(PicoTime t, std::uint16_t tag, std::uint64_t a = 0,
-                          std::uint64_t b = 0);
-  /// Schedule a tagged event `delay` picoseconds from now.
-  void schedule_tagged_in(PicoTime delay, std::uint16_t tag,
-                          std::uint64_t a = 0, std::uint64_t b = 0) {
-    schedule_tagged_at(now_ + delay, tag, a, b);
-  }
-
-  /// True when every pending event is tagged (i.e. save() would succeed).
-  bool checkpointable() const;
-
-  /// Freeze clock, sequence counter, processed/late counters, event-pool
-  /// shape and all pending tagged events into a versioned snapshot. Throws
-  /// SnapshotError if any pending event is a closure (see checkpointable()).
-  void save(std::ostream& out) const;
-
-  /// Restore into a *fresh* simulator (nothing scheduled or processed yet;
-  /// throws SnapshotError otherwise). Pending events keep their original
-  /// (time, seq) keys, so the pop sequence — and therefore the run — is
-  /// bit-identical to the uninterrupted original. The event-pool arena and
-  /// free list are rebuilt at their checkpointed sizes so even the
-  /// sim.event_pool_reuse metric continues identically. Handlers and
-  /// watchdog limits are not part of the snapshot: re-register / re-arm them
-  /// around this call.
-  void restore(std::istream& in);
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  static constexpr std::size_t kInlineActionBytes = 64;
   static constexpr std::size_t kSlotsPerChunk = 256;
 
   struct EventSlot;
@@ -299,10 +258,6 @@ class Simulator {
       v_[hole] = last;
     }
 
-    /// Entries in heap-internal order — for checkpoint scans only; the pop
-    /// order is still defined solely by (t, seq).
-    const std::vector<QueuedEvent>& entries() const { return v_; }
-
    private:
     static bool earlier(const QueuedEvent& a, const QueuedEvent& b) {
       if (a.t != b.t) return a.t < b.t;
@@ -311,24 +266,7 @@ class Simulator {
     std::vector<QueuedEvent> v_;
   };
 
-  // Serializable POD payload for tagged events; lives in the slot's inline
-  // buffer exactly like a closure, sharing the same dispatch vtable shape.
-  struct TaggedEvent {
-    Simulator* sim;
-    std::uint64_t a;
-    std::uint64_t b;
-    std::uint16_t tag;
-  };
-  static_assert(sizeof(TaggedEvent) <= kInlineActionBytes);
-  static void tagged_run_and_destroy(EventSlot& s);
-  static const SlotOps kTaggedOps;
-
-  void dispatch_tagged(std::uint16_t tag, std::uint64_t a, std::uint64_t b);
-
   EventSlot& slot_at(std::uint32_t idx) {
-    return chunks_[idx / kSlotsPerChunk][idx % kSlotsPerChunk];
-  }
-  const EventSlot& slot_at(std::uint32_t idx) const {
     return chunks_[idx / kSlotsPerChunk][idx % kSlotsPerChunk];
   }
 
@@ -373,7 +311,6 @@ class Simulator {
   std::vector<std::unique_ptr<EventSlot[]>> chunks_;
   std::uint32_t next_unused_ = 0;
   std::uint32_t free_head_ = kNoSlot;
-  std::vector<TaggedHandler> handlers_;  // indexed by tag
 };
 
 }  // namespace ecnd::sim

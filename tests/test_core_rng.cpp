@@ -27,6 +27,18 @@ TEST(Rng, ReseedRestartsSequence) {
   for (int i = 0; i < 16; ++i) first.push_back(a.next_u64());
   a.reseed(7);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next_u64(), first[static_cast<std::size_t>(i)]);
+  // Golden first draws after SplitMix64 seeding, pinned literally.
+  a.reseed(0);
+  EXPECT_EQ(a.next_u64(), 0x99ec5f36cb75f2b4ULL);
+  EXPECT_EQ(a.next_u64(), 0xbf6e1f784956452aULL);
+  EXPECT_EQ(a.next_u64(), 0x1a5f849d4933e6e0ULL);
+  a.reseed(1);
+  EXPECT_EQ(a.next_u64(), 0xb3f2af6d0fc710c5ULL);
+  EXPECT_EQ(a.next_u64(), 0x853b559647364ceaULL);
+  a.reseed(20161212);
+  EXPECT_EQ(a.next_u64(), 0x5988323e1b3478a9ULL);
+  EXPECT_EQ(a.next_u64(), 0x7ab88447c907f928ULL);
+  EXPECT_EQ(a.next_u64(), 0x99e614c5e8b285b6ULL);
 }
 
 TEST(Rng, UniformInUnitInterval) {

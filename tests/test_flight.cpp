@@ -133,6 +133,26 @@ TEST_F(FlightFixture, SamplingIsAPureFunctionOfTheFlowIdentity) {
   obs::set_flight_sample(1);
   EXPECT_TRUE(obs::flight_sampled(0, 1, 1));
   EXPECT_TRUE(obs::flight_sampled(7, 3, 0x500000009ULL));
+
+  // Golden masks, pinned literally: bit i is the decision for the i-th
+  // identity of a 4x4x4 (src, dst, flow) grid at each sampling modulus.
+  const auto mask = [](std::uint64_t modulus) {
+    obs::set_flight_sample(modulus);
+    std::uint64_t bits = 0;
+    int bit = 0;
+    for (int src = 0; src < 4; ++src) {
+      for (int dst = 0; dst < 4; ++dst) {
+        for (std::uint64_t flow = 1; flow <= 4; ++flow, ++bit) {
+          const std::uint64_t id = (static_cast<std::uint64_t>(src) << 32) | flow;
+          if (obs::flight_sampled(src, dst, id)) bits |= 1ULL << bit;
+        }
+      }
+    }
+    return bits;
+  };
+  EXPECT_EQ(mask(2), 0x217de3b21d359a5aULL);
+  EXPECT_EQ(mask(3), 0x3c430a0200f62908ULL);
+  EXPECT_EQ(mask(16), 0x2000000004000012ULL);
 }
 
 TEST_F(FlightFixture, PostcardsRecordOrderedPerHopTimestamps) {

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "sim/flow_table.hpp"
 
 namespace ecnd::sim {
@@ -11,11 +12,8 @@ namespace {
 
 // Deterministic 64-bit stream for driving churn (no <random> needed).
 std::uint64_t splitmix(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  state += kGoldenGamma;
+  return splitmix64_mix(state);
 }
 
 TEST(FlowTable, InsertFindErase) {

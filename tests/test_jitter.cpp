@@ -48,6 +48,12 @@ TEST(Jitter, DeterministicInSeedAndTime) {
     diff += a.value(t) != c.value(t);
   }
   EXPECT_GT(diff, 50);
+  // Golden values: the bucket hash is SplitMix64, pinned literally.
+  const JitterProcess g(50e-6, 10e-6, 42);
+  EXPECT_EQ(g.value(0.0), 0x1.6fc4a7d8bb7d4p-15);
+  EXPECT_EQ(g.value(9.99e-6), 0x1.6fc4a7d8bb7d4p-15);
+  EXPECT_EQ(g.value(1e-5), 0x1.3e8862dedf2bap-15);
+  EXPECT_EQ(g.value(0.0123), 0x1.0020c91266c0dp-15);
 }
 
 TEST(Jitter, RoughlyUniformMean) {

@@ -36,6 +36,9 @@ TEST(SweepJournal, KeysAreStableAndCellSensitive) {
   EXPECT_EQ(j.key("fig20|dcqcn|jitter_us=0"), j.key("fig20|dcqcn|jitter_us=0"));
   EXPECT_NE(j.key("fig20|dcqcn|jitter_us=0"),
             j.key("fig20|dcqcn|jitter_us=50"));
+  // Golden keys: FNV-1a over "cafebabe0123|<cell>", pinned literally.
+  EXPECT_EQ(j.key("fig20|dcqcn|jitter_us=0"), 0x1f333ebd00b90513ULL);
+  EXPECT_EQ(j.key(""), 0xeb60615be75b46fcULL);
   ::unsetenv("ECND_GIT_SHA");
 }
 

@@ -8,10 +8,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/parallel.hpp"
+#include "obs/json_text.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -399,6 +402,28 @@ TEST(ObsDisabled, EntryPointsAreInertAndExportsSayCompiledOut) {
 }
 
 #endif  // ECND_OBS_DISABLED
+
+TEST(JsonText, EscapeGolden) {
+  EXPECT_EQ(obs::json_escape("plain sw1.p0"), "plain sw1.p0");
+  EXPECT_EQ(obs::json_escape("\""), "\\\"");
+  EXPECT_EQ(obs::json_escape("\\"), "\\\\");
+  EXPECT_EQ(obs::json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(obs::json_escape("\t\r"), "\\t\\r");
+  EXPECT_EQ(obs::json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(obs::json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(obs::json_escape(std::string_view("\0", 1)), "\\u0000");
+  EXPECT_EQ(obs::json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes
+}
+
+TEST(JsonText, DoubleGolden) {
+  EXPECT_EQ(obs::json_double(0.0), "0");
+  EXPECT_EQ(obs::json_double(-2.5), "-2.5");
+  EXPECT_EQ(obs::json_double(0.1), "0.1");
+  EXPECT_EQ(obs::json_double(1e-7), "1e-07");
+  EXPECT_EQ(obs::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(obs::json_double(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::json_double(-std::numeric_limits<double>::infinity()), "null");
+}
 
 }  // namespace
 }  // namespace ecnd

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/snapshot.hpp"  // fnv1a64
+#include "core/hash.hpp"
 #include "exp/scenarios.hpp"
 #include "proto/factories.hpp"
 #include "robust/fault_injector.hpp"

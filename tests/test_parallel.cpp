@@ -40,6 +40,11 @@ class ScopedEnv {
 
 TEST(TaskSeed, SameTaskSameStream) {
   EXPECT_EQ(par::task_seed(42, 7), par::task_seed(42, 7));
+  // Golden values, pinned literally.
+  EXPECT_EQ(par::task_seed(0, 0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(par::task_seed(42, 7), 0xb4346c5a4ac089c3ULL);
+  EXPECT_EQ(par::task_seed(20161212, 3), 0xd999727e9f7fcf7bULL);
+  EXPECT_EQ(par::task_seed(~0ULL, 1ULL << 40), 0xbdddd311c519502fULL);
 }
 
 TEST(TaskSeed, DistinctTasksDistinctStreams) {

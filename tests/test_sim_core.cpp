@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -650,6 +653,46 @@ TEST(EventPool, SteadyStateChurnKeepsPendingBounded) {
   EXPECT_EQ(remaining, 0);
   EXPECT_EQ(sim.events_pending(), 0u);
   EXPECT_EQ(sim.events_processed(), 100000u);
+}
+
+TEST(EventPool, PoolReuseMetricCountsFreeListHandouts) {
+#if !defined(ECND_OBS_DISABLED)
+  // sim.event_pool_reuse counts slots served from the free list. A slot is
+  // released only after its action returns, so an action's own follow-up
+  // takes the previously released slot (or a fresh one if none is free).
+  obs::set_metrics_enabled(true);
+  obs::reset();
+  const auto reuse = [] {
+    std::ostringstream out;
+    obs::dump_metrics_json(out);
+    const std::string dump = out.str();
+    const std::string key = "\"sim.event_pool_reuse\": ";
+    const std::size_t at = dump.find(key);
+    EXPECT_NE(at, std::string::npos);
+    return std::stoull(dump.substr(at + key.size()));
+  };
+  {
+    Simulator sim;
+    int follow_ups = 6;
+    std::function<void()> fire = [&] {
+      if (follow_ups-- > 0) sim.schedule_in(100, fire);
+    };
+    for (PicoTime t : {0, 10, 20}) sim.schedule_at(t, fire);
+    sim.run_all();
+    // Slots 0-2 and the first follow-up's slot 3 are fresh; the other five
+    // follow-ups reuse the slot the previous dispatch released.
+    EXPECT_EQ(sim.events_processed(), 9u);
+    EXPECT_EQ(reuse(), 5u);
+    // Four slots are free now: later schedules never grow the arena.
+    sim.schedule_in(1, [] {});
+    sim.schedule_in(2, [] {});
+    EXPECT_EQ(reuse(), 7u);
+  }
+  obs::set_metrics_enabled(false);
+  obs::reset();
+#else
+  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
+#endif
 }
 
 }  // namespace

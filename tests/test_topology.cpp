@@ -113,6 +113,28 @@ TEST(EcmpHash, IsAPureSeededFunction) {
   EXPECT_NE(h, ecmp_hash(8, 1, 2, 42));   // seed matters
   EXPECT_NE(h, ecmp_hash(7, 2, 1, 42));   // direction matters
   EXPECT_NE(h, ecmp_hash(7, 1, 2, 43));   // per-flow, not per-pair
+  // Golden values over (seed, src, dst, flow), pinned literally: every
+  // fabric run's path choice is this hash mod the candidate count.
+  EXPECT_EQ(ecmp_hash(0, 0, 2, 1), 0x53ac5ff10bac8ba6ULL);
+  EXPECT_EQ(ecmp_hash(0, 47, 15, 1), 0x4a077a748ccf6ff4ULL);
+  EXPECT_EQ(ecmp_hash(7, 1, 2, 1), 0xe0a225df7a497860ULL);
+  EXPECT_EQ(ecmp_hash(7, 1, 15, (47ULL << 32) | 3), 0x8619567546749620ULL);
+  EXPECT_EQ(ecmp_hash(0x1234, 0, 15, (47ULL << 32) | 3), 0xb67a61edae9f1c12ULL);
+  EXPECT_EQ(ecmp_hash(0x1234, 47, 2, 1), 0x5894f116bab5297dULL);
+}
+
+TEST(EcmpHash, SwitchSeedsGolden) {
+  // Per-switch seeds derive from (network seed, switch id); a re-seed
+  // re-derives existing switches and applies to later ones.
+  Network net(1);
+  net.add_switch();
+  EXPECT_EQ(net.switches()[0]->ecmp_seed(), 0x2cfa2f23425329e1ULL);
+  net.add_switch();
+  net.set_ecmp_seed(5);
+  net.add_switch();
+  EXPECT_EQ(net.switches()[0]->ecmp_seed(), 0xa5d7177f683cd099ULL);
+  EXPECT_EQ(net.switches()[1]->ecmp_seed(), 0x470c9df4952236a7ULL);
+  EXPECT_EQ(net.switches()[2]->ecmp_seed(), 0xe46dc542a01bbfcbULL);
 }
 
 TEST(Ecmp, SpreadsFlowsAcrossBothUplinks) {
