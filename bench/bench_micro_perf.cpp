@@ -56,6 +56,27 @@ void BM_DdeSolverTimelyStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DdeSolverTimelyStep)->Arg(2)->Arg(16)->Arg(1000);
 
+// Patched TIMELY, the model behind the benchmark's slowest fluid cell, on
+// that cell's 400G link (10k flows need C >= N x the 1250 pps rate floor).
+// ns_per_flow_rhs spreads the step's wall time over its 4 x N per-flow RHS
+// evaluations (4 RK4 stages of N flows), solver work included.
+void BM_DdeSolverPatchedTimelyStep(benchmark::State& state) {
+  fluid::TimelyFluidParams p = fluid::patched_timely_defaults();
+  p.link_rate = gbps(400.0);
+  p.num_flows = static_cast<int>(state.range(0));
+  fluid::PatchedTimelyFluidModel model(p);
+  fluid::DdeSolver solver(model, model.initial_state(), 0.0, model.suggested_dt());
+  for (auto _ : state) {
+    solver.step();
+    benchmark::DoNotOptimize(solver.state().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["ns_per_flow_rhs"] = benchmark::Counter(
+      4.0 * p.num_flows * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DdeSolverPatchedTimelyStep)->Arg(2)->Arg(1000)->Arg(10000);
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -12,6 +12,12 @@
 # scheduler, and the cheapest way to keep that promise honest is to run every
 # test on both the serial and the threaded path.
 #
+# The plain mode then configures the benchmark package (ecndbench/, which
+# compiles ../src itself) into build-ecndbench/ and runs its probe tests
+# (ecnd_bench_test): wrapped, traced and untraced runs must stay bit-identical
+# to the plain engines, or the benchmark's per-layer numbers stop describing
+# the code users run.
+#
 # --obs-smoke exercises the observability layer (see OBSERVABILITY.md): one
 # traced quick bench, JSON validity, metrics/trace bit-identical across thread
 # counts, and stdout CSV byte-identical with obs armed, idle, and compiled out
@@ -98,6 +104,11 @@ if [[ "$mode" != "--sanitize-only" && "$mode" != "--tsan-only" \
   build_suite build
   run_tests build 1
   run_tests build 4
+
+  echo "== benchmark probe tests (ecndbench/) =="
+  cmake -B build-ecndbench -S ecndbench
+  cmake --build build-ecndbench -j --target ecnd_bench_test
+  ./build-ecndbench/ecnd_bench_test
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then

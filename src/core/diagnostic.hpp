@@ -83,4 +83,15 @@ class InvariantViolation : public std::runtime_error {
   Diagnostic diag_;
 };
 
+/// A precondition that must hold in release builds too, where assert()
+/// compiles out: throws InvariantViolation naming `component` and
+/// `variable`, with the offending `value`, unless `ok`.
+inline void require_precondition(bool ok, const char* component,
+                                 const char* variable, double value,
+                                 const char* detail) {
+  if (ok) return;
+  throw InvariantViolation(
+      Diagnostic::make(component, variable, 0.0, value, detail));
+}
+
 }  // namespace ecnd

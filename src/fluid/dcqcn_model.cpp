@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
+
+#include "core/diagnostic.hpp"
 
 namespace ecnd::fluid {
 namespace {
@@ -37,20 +40,41 @@ double mark_within(double p, double l, double n) {
 
 }  // namespace
 
-DcqcnFluidModel::DcqcnFluidModel(DcqcnFluidParams params) : params_(params) {
+DcqcnFluidModel::Coefficients::Coefficients(const DcqcnFluidParams& p)
+    : capacity(p.capacity_pps()),
+      kmin(p.kmin_pkts()),
+      kmax(p.kmax_pkts()),
+      kspan(p.kmax_pkts() - p.kmin_pkts()),
+      pmax(p.pmax),
+      byte_counter(p.byte_counter_pkts()),
+      fast_recovery_bytes(p.fast_recovery_steps * p.byte_counter_pkts()),
+      fast_recovery(p.fast_recovery_steps),
+      timer(p.timer_T),
+      tau_cnp(p.tau_cnp),
+      two_tau_cnp(2.0 * p.tau_cnp),
+      tau_alpha(p.tau_alpha),
+      alpha_gain(p.g / p.tau_alpha),
+      rate_ai(p.rate_ai_pps()) {}
+
+DcqcnFluidModel::DcqcnFluidModel(DcqcnFluidParams params)
+    : params_(std::move(params)), coef_(params_) {
   assert(params_.num_flows >= 1);
-  assert(params_.kmax > params_.kmin);
-  assert(params_.pmax > 0.0 && params_.pmax <= 1.0);
+  require_precondition(params_.kmax > params_.kmin, "DcqcnFluidModel", "kmax",
+                       static_cast<double>(params_.kmax),
+                       "Kmax must exceed Kmin: Equation 3 divides by "
+                       "Kmax - Kmin");
+  require_precondition(params_.pmax > 0.0 && params_.pmax <= 1.0,
+                       "DcqcnFluidModel", "pmax", params_.pmax,
+                       "Pmax is a probability in (0, 1]");
   require_min_rate_feasible("DcqcnFluidModel", params_.num_flows, kMinRatePps,
-                            params_.capacity_pps());
+                            coef_.capacity);
 }
 
 double DcqcnFluidModel::marking_probability(double q_pkts) const {
-  const double kmin = params_.kmin_pkts();
-  const double kmax = params_.kmax_pkts();
-  if (q_pkts <= kmin) return 0.0;
-  if (!params_.red_linear_extension && q_pkts > kmax) return 1.0;
-  return std::min(1.0, (q_pkts - kmin) / (kmax - kmin) * params_.pmax);
+  const Coefficients& k = coef_;
+  if (q_pkts <= k.kmin) return 0.0;
+  if (!params_.red_linear_extension && q_pkts > k.kmax) return 1.0;
+  return std::min(1.0, (q_pkts - k.kmin) / k.kspan * k.pmax);
 }
 
 std::vector<double> DcqcnFluidModel::initial_state() const {
@@ -71,70 +95,97 @@ double DcqcnFluidModel::suggested_dt() const {
 }
 
 DcqcnFluidModel::MarkingShared DcqcnFluidModel::make_marking_shared(
-    double p_delayed) const {
-  const DcqcnFluidParams& P = params_;
+    const Coefficients& k, double p_delayed) {
   MarkingShared m{};
   m.p = std::clamp(p_delayed, 0.0, 1.0);
   m.l = std::log1p(-m.p);
-  const double B = P.byte_counter_pkts();
-  m.byte_factor = increase_event_factor(m.p, m.l, B);               // ~ 1/B
-  m.byte_ai = pow1m(m.l, P.fast_recovery_steps * B);                // P(in AI, byte)
+  m.byte_factor = increase_event_factor(m.p, m.l, k.byte_counter);  // ~ 1/B
+  m.byte_ai = pow1m(m.l, k.fast_recovery_bytes);  // P(in AI, byte)
   return m;
 }
 
 DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs(
     double alpha, double rt, double rc, double p_delayed,
     double rc_delayed) const {
-  return flow_rhs_shared(alpha, rt, rc, make_marking_shared(p_delayed),
-                         rc_delayed);
+  const MarkingShared m = make_marking_shared(coef_, p_delayed);
+  return flow_rhs_from(coef_, alpha, rt, rc, m,
+                       make_rate_shared(coef_, m, rc_delayed));
 }
 
 DcqcnFluidModel::RateShared DcqcnFluidModel::make_rate_shared(
-    const MarkingShared& m, double rc_delayed) const {
-  const DcqcnFluidParams& P = params_;
+    const Coefficients& k, const MarkingShared& m, double rc_delayed) {
   const double p = m.p;
   RateShared r{};
   r.rcd = std::max(rc_delayed, kMinRatePps);
 
-  const double TRc = P.timer_T * r.rcd;
-  const double F = P.fast_recovery_steps;
+  const double TRc = k.timer * r.rcd;
 
   // Probability of at least one CNP per tau / tau' window (Equations 5-7).
-  r.cnp_prob_tau = mark_within(p, m.l, P.tau_cnp * r.rcd);
-  r.cnp_prob_tau_alpha = mark_within(p, m.l, P.tau_alpha * r.rcd);
+  r.cnp_prob_tau = mark_within(p, m.l, k.tau_cnp * r.rcd);
+  r.cnp_prob_tau_alpha = mark_within(p, m.l, k.tau_alpha * r.rcd);
 
   // Timer-based rate-increase event factors (the byte-counter pair depends
   // only on p and lives in MarkingShared), Equation 6/7.
   r.timer_factor = increase_event_factor(p, m.l, TRc);   // ~ 1/(T Rc)
-  const double timer_ai = pow1m(m.l, F * TRc);           // P(in AI, timer)
+  const double timer_ai = pow1m(m.l, k.fast_recovery * TRc);  // P(in AI, timer)
 
   // The Equation-6 additive-increase terms in full — association matches the
   // original dRt/dt sum exactly, so folding them here is bit-neutral.
-  r.ai_byte = P.rate_ai_pps() * r.rcd * m.byte_ai * m.byte_factor;
-  r.ai_timer = P.rate_ai_pps() * r.rcd * timer_ai * r.timer_factor;
+  r.ai_byte = k.rate_ai * r.rcd * m.byte_ai * m.byte_factor;
+  r.ai_timer = k.rate_ai * r.rcd * timer_ai * r.timer_factor;
   return r;
 }
 
-DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs_from(
-    double alpha, double rt, double rc, const MarkingShared& m,
-    const RateShared& r) const {
-  const DcqcnFluidParams& P = params_;
+// Inline: flows_rhs() runs it once per flow, and a call that returns the
+// three derivatives through memory costs as much as the arithmetic.
+inline DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs_from(
+    const Coefficients& k, double alpha, double rt, double rc,
+    const MarkingShared& m, const RateShared& r) {
   FlowDerivatives d{};
   // Equation 5.
-  d.dalpha = P.g / P.tau_alpha * (r.cnp_prob_tau_alpha - alpha);
+  d.dalpha = k.alpha_gain * (r.cnp_prob_tau_alpha - alpha);
   // Equation 6.
-  d.dtarget = -(rt - rc) / P.tau_cnp * r.cnp_prob_tau + r.ai_byte + r.ai_timer;
+  d.dtarget = -(rt - rc) / k.tau_cnp * r.cnp_prob_tau + r.ai_byte + r.ai_timer;
   // Equation 7.
-  d.drate = -(rc * alpha) / (2.0 * P.tau_cnp) * r.cnp_prob_tau +
+  d.drate = -(rc * alpha) / k.two_tau_cnp * r.cnp_prob_tau +
             (rt - rc) / 2.0 * r.rcd * m.byte_factor +
             (rt - rc) / 2.0 * r.rcd * r.timer_factor;
   return d;
 }
 
-DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs_shared(
-    double alpha, double rt, double rc, const MarkingShared& m,
-    double rc_delayed) const {
-  return flow_rhs_from(alpha, rt, rc, m, make_rate_shared(m, rc_delayed));
+void DcqcnFluidModel::flows_rhs(const MarkingShared& m,
+                                const double* rc_delayed,
+                                std::span<const double> x,
+                                std::size_t alpha_begin,
+                                std::span<double> dxdt) const {
+  const Coefficients k = coef_;
+  const std::size_t n = nflows();
+  const double* alpha = x.data() + alpha_begin;
+  const double* rt = alpha + n;
+  const double* rc = rt + n;
+  double* dalpha = dxdt.data() + alpha_begin;
+  double* dtarget = dalpha + n;
+  double* drate = dtarget + n;
+  // One-entry memo over the delayed rate: in symmetric runs every flow's
+  // delayed rate is bitwise identical, so the expensive transcendental block
+  // is computed once per evaluation instead of once per flow. Keyed on exact
+  // bits — a miss just recomputes, so results never depend on the memo.
+  RateShared rate_shared{};
+  double rate_shared_key = 0.0;
+  bool have_rate_shared = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double rcd_i = rc_delayed[i];
+    if (!have_rate_shared || rcd_i != rate_shared_key) {
+      rate_shared = make_rate_shared(k, m, rcd_i);
+      rate_shared_key = rcd_i;
+      have_rate_shared = true;
+    }
+    const FlowDerivatives d =
+        flow_rhs_from(k, alpha[i], rt[i], rc[i], m, rate_shared);
+    dalpha[i] = d.dalpha;
+    dtarget[i] = d.dtarget;
+    drate[i] = d.drate;
+  }
 }
 
 void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& past,
@@ -142,12 +193,14 @@ void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& pa
   const DcqcnFluidParams& P = params_;
   const double delay = P.feedback_delay + P.feedback_jitter.value(t);
   const double t_delayed = t - delay;
+  const std::size_t n = nflows();
 
   // Equation 4: queue evolution, gated so an empty queue cannot go negative.
+  const double* rc = x.data() + rate_index(0);
   double sum_rc = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_rc += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_rc += rc[i];
   const double q = x[queue_index()];
-  double dq = sum_rc - P.capacity_pps();
+  double dq = sum_rc - coef_.capacity;
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
   dxdt[queue_index()] = dq;
 
@@ -156,40 +209,23 @@ void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& pa
   // contiguous pass (the second search reuses the cursor the first warmed).
   const double q_delayed = past.value(queue_index(), t_delayed);
   const std::span<const double> rc_delayed =
-      past.values(t_delayed, rate_index(0), nflows());
+      past.values(t_delayed, rate_index(0), n);
   const double p_delayed = marking_probability(q_delayed);
-  const MarkingShared shared = make_marking_shared(p_delayed);
-
-  // One-entry memo over the delayed rate: in symmetric runs every flow's
-  // delayed rate is bitwise identical, so the expensive transcendental block
-  // is computed once per evaluation instead of once per flow. Keyed on exact
-  // bits — a miss just recomputes, so results never depend on the memo.
-  RateShared rate_shared{};
-  double rate_shared_key = 0.0;
-  bool have_rate_shared = false;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rcd_i = rc_delayed[static_cast<std::size_t>(i)];
-    if (!have_rate_shared || rcd_i != rate_shared_key) {
-      rate_shared = make_rate_shared(shared, rcd_i);
-      rate_shared_key = rcd_i;
-      have_rate_shared = true;
-    }
-    const FlowDerivatives d =
-        flow_rhs_from(x[alpha_index(i)], x[target_rate_index(i)],
-                      x[rate_index(i)], shared, rate_shared);
-    dxdt[alpha_index(i)] = d.dalpha;
-    dxdt[target_rate_index(i)] = d.dtarget;
-    dxdt[rate_index(i)] = d.drate;
-  }
+  flows_rhs(make_marking_shared(coef_, p_delayed), rc_delayed.data(), x,
+            alpha_index(0), dxdt);
 }
 
 void DcqcnFluidModel::clamp(std::span<double> x) const {
-  const double line = params_.capacity_pps();
+  const double line = coef_.capacity;
+  const std::size_t n = nflows();
   x[queue_index()] = std::max(0.0, x[queue_index()]);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[alpha_index(i)] = std::clamp(x[alpha_index(i)], 0.0, 1.0);
-    x[target_rate_index(i)] = std::clamp(x[target_rate_index(i)], kMinRatePps, line);
-    x[rate_index(i)] = std::clamp(x[rate_index(i)], kMinRatePps, line);
+  double* alpha = x.data() + alpha_index(0);
+  double* rt = x.data() + target_rate_index(0);
+  double* rc = x.data() + rate_index(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    alpha[i] = std::clamp(alpha[i], 0.0, 1.0);
+    rt[i] = std::clamp(rt[i], kMinRatePps, line);
+    rc[i] = std::clamp(rc[i], kMinRatePps, line);
   }
 }
 

@@ -83,8 +83,10 @@ class DcqcnFluidModel final : public FluidModel {
   /// transients, and the floor keeps the exponential terms well-scaled.
   static constexpr double kMinRatePps = 125.0;
 
-  /// Throws InvariantViolation when num_flows * kMinRatePps exceeds the link
-  /// capacity (the rate floor would pin demand above capacity forever).
+  /// Throws InvariantViolation when Kmax <= Kmin (Equation 3 divides by
+  /// Kmax - Kmin), when Pmax is outside (0, 1], or when num_flows *
+  /// kMinRatePps exceeds the link capacity (the rate floor would pin demand
+  /// above capacity forever). These checks hold in release builds too.
   explicit DcqcnFluidModel(DcqcnFluidParams params);
 
   const DcqcnFluidParams& params() const { return params_; }
@@ -107,7 +109,7 @@ class DcqcnFluidModel final : public FluidModel {
   std::vector<double> initial_state() const override;
   double suggested_dt() const override;
   double mtu_bytes() const override { return params_.mtu_bytes; }
-  double capacity_pps() const override { return params_.capacity_pps(); }
+  double capacity_pps() const override { return coef_.capacity; }
 
   // DdeSystem interface.
   std::size_t dim() const override {
@@ -135,6 +137,31 @@ class DcqcnFluidModel final : public FluidModel {
     return static_cast<std::size_t>(params_.num_flows);
   }
 
+  /// The flow equations' constants, derived once from the parameters. Each
+  /// field is a self-contained subexpression of Equations 3-7, and the
+  /// expressions that read one keep their operand order, so hoisting it
+  /// changes no result bit. flows_rhs() copies the struct into a local: a
+  /// member read after a store through dxdt must be reloaded, since the
+  /// compiler cannot rule out that the store aliased it.
+  struct Coefficients {
+    explicit Coefficients(const DcqcnFluidParams& p);
+
+    double capacity;             ///< C (packets/s)
+    double kmin;                 ///< Kmin (packets)
+    double kmax;                 ///< Kmax (packets)
+    double kspan;                ///< Kmax - Kmin (packets)
+    double pmax;
+    double byte_counter;         ///< B (packets)
+    double fast_recovery_bytes;  ///< F * B (packets)
+    double fast_recovery;        ///< F
+    double timer;                ///< T (s)
+    double tau_cnp;              ///< tau (s)
+    double two_tau_cnp;          ///< 2 tau (s)
+    double tau_alpha;            ///< tau' (s)
+    double alpha_gain;           ///< g / tau'
+    double rate_ai;              ///< R_AI (packets/s)
+  };
+
   /// Marking terms that depend only on the delayed marking probability, not
   /// on the flow: computed once per rhs() call instead of once per flow.
   /// l = log1p(-p) is additionally shared by every per-flow exponential
@@ -147,7 +174,8 @@ class DcqcnFluidModel final : public FluidModel {
     double byte_factor;  ///< p / ((1-p)^{-B} - 1), limit 1/B
     double byte_ai;      ///< (1-p)^{F B}
   };
-  MarkingShared make_marking_shared(double p_delayed) const;
+  static MarkingShared make_marking_shared(const Coefficients& k,
+                                           double p_delayed);
 
   /// The remaining per-flow terms that depend only on (p, delayed rate) —
   /// every transcendental the flow RHS needs. In symmetric many-flow runs
@@ -162,18 +190,26 @@ class DcqcnFluidModel final : public FluidModel {
     double ai_byte;             ///< R_AI Rc (1-p)^{F B} p / ((1-p)^{-B} - 1)
     double ai_timer;            ///< timer-counter twin of ai_byte
   };
-  RateShared make_rate_shared(const MarkingShared& m, double rc_delayed) const;
-  FlowDerivatives flow_rhs_from(double alpha, double rt, double rc,
-                                const MarkingShared& m,
-                                const RateShared& r) const;
-  FlowDerivatives flow_rhs_shared(double alpha, double rt, double rc,
-                                  const MarkingShared& m,
-                                  double rc_delayed) const;
+  static RateShared make_rate_shared(const Coefficients& k,
+                                     const MarkingShared& m,
+                                     double rc_delayed);
+  static FlowDerivatives flow_rhs_from(const Coefficients& k, double alpha,
+                                       double rt, double rc,
+                                       const MarkingShared& m,
+                                       const RateShared& r);
+
+  /// Equations 5-7 for every flow: reads the alpha, target-rate and rate
+  /// blocks of x that start at alpha_begin (the SoA order both DCQCN models
+  /// share) plus the delayed rates, and writes the same blocks of dxdt.
+  void flows_rhs(const MarkingShared& m, const double* rc_delayed,
+                 std::span<const double> x, std::size_t alpha_begin,
+                 std::span<double> dxdt) const;
 
   // The PI variant reuses these flow dynamics with its own marking source.
   friend class DcqcnPiFluidModel;
 
   DcqcnFluidParams params_;
+  const Coefficients coef_;
 };
 
 }  // namespace ecnd::fluid

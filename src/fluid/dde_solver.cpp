@@ -314,8 +314,12 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
       k4_(system.dim()),
       tmp_(system.dim()),
       last_trim_(t0) {
-  assert(x_.size() == system_.dim());
-  assert(dt_ > 0.0);
+  // NaN fails dt > 0; dt = 0 would make run_until's step count infinite.
+  require_precondition(dt_ > 0.0 && std::isfinite(dt_), "DdeSolver", "dt", dt_,
+                       "step size must be positive and finite");
+  require_precondition(x_.size() == system_.dim(), "DdeSolver",
+                       "initial_state", static_cast<double>(x_.size()),
+                       "initial state length must equal the system dim()");
   if (system.max_row_delay() < system.max_delay()) {
     const auto [first, count] = system.deep_vars();
     history_.set_deep_retention(first, count);

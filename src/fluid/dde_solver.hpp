@@ -192,6 +192,9 @@ class DdeSolver {
   using Guard =
       std::function<bool(double t, std::span<const double> x, Diagnostic& diag)>;
 
+  /// Throws InvariantViolation when dt is not positive and finite, or when
+  /// initial_state's length differs from system.dim() (checks that hold in
+  /// release builds too).
   DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
             double t0, double dt);
 

@@ -1,15 +1,16 @@
 #include "fluid/pi_models.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <utility>
+
+#include "core/diagnostic.hpp"
 
 namespace ecnd::fluid {
 namespace {
 
-// The PI variant shares the base TIMELY floors and caps.
+// The PI variant shares the base TIMELY rate floor.
 constexpr double kMinRatePps = TimelyFluidBase::kMinRatePps;
-constexpr double kQueueCapFactor = TimelyFluidBase::kQueueCapFactor;
 
 }  // namespace
 
@@ -33,11 +34,13 @@ void DcqcnPiFluidModel::rhs(double t, std::span<const double> x,
   const DcqcnFluidParams& P = params_;
   const double delay = P.feedback_delay + P.feedback_jitter.value(t);
   const double t_delayed = t - delay;
+  const std::size_t n = nflows();
 
+  const double* rc = x.data() + rate_index(0);
   double sum_rc = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_rc += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_rc += rc[i];
   const double q = x[queue_index()];
-  double dq = sum_rc - P.capacity_pps();
+  double dq = sum_rc - flow_dynamics_.coef_.capacity;
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
   dxdt[queue_index()] = dq;
 
@@ -55,48 +58,38 @@ void DcqcnPiFluidModel::rhs(double t, std::span<const double> x,
   // searches serve the marking state and the contiguous delayed rate block.
   const double p_raw = past.value(marking_index(), t_delayed);
   const std::span<const double> rc_delayed =
-      past.values(t_delayed, rate_index(0), nflows());
+      past.values(t_delayed, rate_index(0), n);
   const double p_delayed = std::clamp(p_raw, 0.0, 1.0);
-  const auto shared = flow_dynamics_.make_marking_shared(p_delayed);
-  // One-entry memo over the delayed rate, as in DcqcnFluidModel::rhs.
-  DcqcnFluidModel::RateShared rate_shared{};
-  double rate_shared_key = 0.0;
-  bool have_rate_shared = false;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rcd_i = rc_delayed[static_cast<std::size_t>(i)];
-    if (!have_rate_shared || rcd_i != rate_shared_key) {
-      rate_shared = flow_dynamics_.make_rate_shared(shared, rcd_i);
-      rate_shared_key = rcd_i;
-      have_rate_shared = true;
-    }
-    const DcqcnFluidModel::FlowDerivatives d = flow_dynamics_.flow_rhs_from(
-        x[alpha_index(i)], x[target_rate_index(i)], x[rate_index(i)], shared,
-        rate_shared);
-    dxdt[alpha_index(i)] = d.dalpha;
-    dxdt[target_rate_index(i)] = d.dtarget;
-    dxdt[rate_index(i)] = d.drate;
-  }
+  flow_dynamics_.flows_rhs(
+      DcqcnFluidModel::make_marking_shared(flow_dynamics_.coef_, p_delayed),
+      rc_delayed.data(), x, alpha_index(0), dxdt);
 }
 
 void DcqcnPiFluidModel::clamp(std::span<double> x) const {
-  const double line = params_.capacity_pps();
+  const double line = flow_dynamics_.coef_.capacity;
   const double floor = DcqcnFluidModel::kMinRatePps;
+  const std::size_t n = nflows();
   x[queue_index()] = std::max(0.0, x[queue_index()]);
   x[marking_index()] = std::clamp(x[marking_index()], 0.0, 1.0);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[alpha_index(i)] = std::clamp(x[alpha_index(i)], 0.0, 1.0);
-    x[target_rate_index(i)] = std::clamp(x[target_rate_index(i)], floor, line);
-    x[rate_index(i)] = std::clamp(x[rate_index(i)], floor, line);
+  double* alpha = x.data() + alpha_index(0);
+  double* rt = x.data() + target_rate_index(0);
+  double* rc = x.data() + rate_index(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    alpha[i] = std::clamp(alpha[i], 0.0, 1.0);
+    rt[i] = std::clamp(rt[i], floor, line);
+    rc[i] = std::clamp(rc[i], floor, line);
   }
 }
 
 PatchedTimelyPiFluidModel::PatchedTimelyPiFluidModel(TimelyFluidParams params,
                                                      TimelyPiParams pi)
-    : params_(params), pi_(pi) {
-  assert(pi_.qref_pkts > params_.qlow_pkts());
-  assert(pi_.qref_pkts < params_.qhigh_pkts());
-  require_min_rate_feasible("PatchedTimelyPiFluidModel", params_.num_flows,
-                            kMinRatePps, params_.capacity_pps());
+    : params_(std::move(params)), coef_(params_), pi_(pi) {
+  require_valid_timely_params("PatchedTimelyPiFluidModel", params_);
+  require_precondition(
+      pi_.qref_pkts > coef_.qlow && pi_.qref_pkts < coef_.qhigh,
+      "PatchedTimelyPiFluidModel", "qref_pkts", pi_.qref_pkts,
+      "the PI reference queue must lie strictly inside (C*T_low, C*T_high), "
+      "where Equation 29's gradient band applies");
 }
 
 std::vector<double> PatchedTimelyPiFluidModel::initial_state() const {
@@ -113,115 +106,102 @@ double PatchedTimelyPiFluidModel::suggested_dt() const {
   return std::clamp(std::min(min_delay, params_.d_min_rtt) / 8.0, 5e-8, 5e-7);
 }
 
-double PatchedTimelyPiFluidModel::update_interval(double rate_pps) const {
-  const double r = std::max(rate_pps, kMinRatePps);
-  return std::max(params_.segment_pkts() / r, params_.d_min_rtt);
-}
-
-double PatchedTimelyPiFluidModel::feedback_delay(double q_pkts) const {
-  return q_pkts / params_.capacity_pps() + params_.base_feedback_delay();
-}
-
 double PatchedTimelyPiFluidModel::max_delay() const {
-  const double max_tau_prime =
-      kQueueCapFactor * params_.qhigh_pkts() / params_.capacity_pps() +
-      params_.base_feedback_delay();
   const double max_tau_star =
-      std::max(params_.segment_pkts() / kMinRatePps, params_.d_min_rtt);
-  return max_tau_prime + max_tau_star + params_.feedback_jitter.amplitude();
+      std::max(coef_.segment / kMinRatePps, coef_.d_min_rtt);
+  return coef_.qcap / coef_.capacity + coef_.base_delay + max_tau_star +
+         params_.feedback_jitter.amplitude();
 }
 
 double PatchedTimelyPiFluidModel::max_row_delay() const {
   // The clamp() queue cap bounds tau' at evaluation time; rates are never
   // read back further than that.
-  return kQueueCapFactor * params_.qhigh_pkts() / params_.capacity_pps() +
-         params_.base_feedback_delay() + params_.feedback_jitter.amplitude();
+  return coef_.qcap / coef_.capacity + coef_.base_delay +
+         params_.feedback_jitter.amplitude();
 }
 
 void PatchedTimelyPiFluidModel::rhs(double t, std::span<const double> x,
                                     const History& past,
                                     std::span<double> dxdt) const {
-  const TimelyFluidParams& P = params_;
-  const double C = P.capacity_pps();
+  const TimelyFluidBase::Coefficients k = coef_;
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  const double* pi_state = x.data() + pi_state_index(0);
+  double* drate = dxdt.data() + rate_index(0);
+  double* dgrad = dxdt.data() + gradient_index(0);
+  double* dpi = dxdt.data() + pi_state_index(0);
 
   double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_r += rate[i];
   const double q = x[queue_index()];
-  double dq = sum_r - C;
+  double dq = sum_r - k.capacity;
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
   dxdt[queue_index()] = dq;
 
-  const double tau_prime = feedback_delay(q);
+  const double tau_prime = k.feedback_delay(q);
   // Two history searches serve the delayed queue and the contiguous delayed
   // rate block (the second reuses the cursor the first warmed).
   const double q_hat = past.value(queue_index(), t - tau_prime);
   const std::span<const double> rates_delayed =
-      past.values(t - tau_prime, rate_index(0), nflows());
+      past.values(t - tau_prime, rate_index(0), n);
 
   // Rate of change of the delayed observation: the queue law evaluated on
   // delayed rates (gated the same way the queue itself is).
   double sum_r_delayed = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) {
-    sum_r_delayed += rates_delayed[static_cast<std::size_t>(i)];
-  }
-  double dq_hat = sum_r_delayed - C;
+  for (std::size_t i = 0; i < n; ++i) sum_r_delayed += rates_delayed[i];
+  double dq_hat = sum_r_delayed - k.capacity;
   if (q_hat <= 0.0 && dq_hat < 0.0) dq_hat = 0.0;
 
   const double error = (q_hat - pi_.qref_pkts) / pi_.qref_pkts;
   const double derror = dq_hat / pi_.qref_pkts;
 
   // Batched per-flow gradient lookups, as in the base model.
-  const std::size_t n = nflows();
   tau_star_buf_.resize(n);
   lookup_times_.resize(n);
   lookup_vals_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    tau_star_buf_[j] = update_interval(x[rate_index(static_cast<int>(j))]);
-    lookup_times_[j] = t - tau_prime - tau_star_buf_[j];
+  double* tau_star = tau_star_buf_.data();
+  double* times = lookup_times_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    tau_star[i] = k.update_interval(rate[i]);
+    times[i] = t - tau_prime - tau_star[i];
   }
   past.values_at(queue_index(), lookup_times_, lookup_vals_);
+  const double* q_prev = lookup_vals_.data();
 
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double p = x[pi_state_index(i)];
-    const double tau_star = tau_star_buf_[static_cast<std::size_t>(i)];
-
+  // Local PI controller over the host's own delayed queue observation
+  // (Equation 32 evaluated at the end host). The host applies one update
+  // per completion event, i.e. every tau*_i — so the effective continuous
+  // gain scales with 1/tau*_i and is *per-flow*. This asymmetry is part of
+  // why per-host integrators end up at different p_i (Figure 19).
+  const double pi_drive = pi_.k_p * derror + pi_.k_i * error;
+  for (std::size_t i = 0; i < n; ++i) {
     // Gradient EWMA (Equation 22), as in the base model.
-    const double q_prev = lookup_vals_[static_cast<std::size_t>(i)];
-    const double normalized = (q_hat - q_prev) / (C * P.d_min_rtt);
-    dxdt[gradient_index(i)] = P.alpha_ewma / tau_star * (-grad + normalized);
+    const double normalized = (q_hat - q_prev[i]) / k.gradient_scale;
+    dgrad[i] = k.alpha_ewma / tau_star[i] * (-grad[i] + normalized);
+    dpi[i] = pi_drive / tau_star[i];
+  }
 
-    // Local PI controller over the host's own delayed queue observation
-    // (Equation 32 evaluated at the end host). The host applies one update
-    // per completion event, i.e. every tau*_i — so the effective continuous
-    // gain scales with 1/tau*_i and is *per-flow*. This asymmetry is part of
-    // why per-host integrators end up at different p_i (Figure 19).
-    dxdt[pi_state_index(i)] = (pi_.k_p * derror + pi_.k_i * error) / tau_star;
-
-    // Equation 29 with the PI output replacing the (q - q')/q' error term.
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else {
-      const double w = PatchedTimelyFluidModel::weight(grad);
-      dr = (1.0 - w) * P.delta_pps() / tau_star -
-           w * P.beta / tau_star * rate * p;
-    }
-    dxdt[rate_index(i)] = dr;
+  // Equation 29 with the PI output replacing the (q - q')/q' error term.
+  if (k.threshold_rate_rhs(q_hat, n, rate, tau_star, drate)) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = PatchedTimelyFluidModel::weight(grad[i]);
+    drate[i] = (1.0 - w) * k.delta / tau_star[i] -
+               w * k.beta / tau_star[i] * rate[i] * pi_state[i];
   }
 }
 
 void PatchedTimelyPiFluidModel::clamp(std::span<double> x) const {
-  const double qcap = 4.0 * params_.qhigh_pkts();
-  x[queue_index()] = std::clamp(x[queue_index()], 0.0, qcap);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[rate_index(i)] =
-        std::clamp(x[rate_index(i)], kMinRatePps, params_.capacity_pps());
-    x[gradient_index(i)] = std::clamp(x[gradient_index(i)], -100.0, 100.0);
-    x[pi_state_index(i)] = std::clamp(x[pi_state_index(i)], -10.0, 10.0);
+  const TimelyFluidBase::Coefficients k = coef_;
+  const std::size_t n = nflows();
+  x[queue_index()] = std::clamp(x[queue_index()], 0.0, k.qcap);
+  double* rate = x.data() + rate_index(0);
+  double* grad = x.data() + gradient_index(0);
+  double* pi_state = x.data() + pi_state_index(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    rate[i] = std::clamp(rate[i], kMinRatePps, k.capacity);
+    grad[i] = std::clamp(grad[i], -100.0, 100.0);
+    pi_state[i] = std::clamp(pi_state[i], -10.0, 10.0);
   }
 }
 

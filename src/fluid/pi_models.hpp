@@ -87,6 +87,8 @@ struct TimelyPiParams {
 ///   x[0] = q, x[1 + i] = R_i, x[1 + N + i] = g_i, x[1 + 2N + i] = p_i.
 class PatchedTimelyPiFluidModel final : public FluidModel {
  public:
+  /// Throws InvariantViolation when the TIMELY parameters fail
+  /// require_valid_timely_params or qref lies outside (C*T_low, C*T_high).
   PatchedTimelyPiFluidModel(TimelyFluidParams params, TimelyPiParams pi);
 
   const TimelyFluidParams& params() const { return params_; }
@@ -107,7 +109,7 @@ class PatchedTimelyPiFluidModel final : public FluidModel {
   std::vector<double> initial_state() const override;
   double suggested_dt() const override;
   double mtu_bytes() const override { return params_.mtu_bytes; }
-  double capacity_pps() const override { return params_.capacity_pps(); }
+  double capacity_pps() const override { return coef_.capacity; }
 
   std::size_t dim() const override {
     return 1 + 3 * static_cast<std::size_t>(params_.num_flows);
@@ -128,10 +130,9 @@ class PatchedTimelyPiFluidModel final : public FluidModel {
   std::size_t nflows() const {
     return static_cast<std::size_t>(params_.num_flows);
   }
-  double update_interval(double rate_pps) const;
-  double feedback_delay(double q_pkts) const;
 
   TimelyFluidParams params_;
+  const TimelyFluidBase::Coefficients coef_;
   TimelyPiParams pi_;
   // Scratch for the batched per-flow delayed queue lookups (single-threaded
   // per solver, like the base model's).

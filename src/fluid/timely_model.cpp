@@ -3,15 +3,62 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
+
+#include "core/diagnostic.hpp"
 
 namespace ecnd::fluid {
 
-TimelyFluidBase::TimelyFluidBase(TimelyFluidParams params) : params_(params) {
-  assert(params_.num_flows >= 1);
-  assert(params_.t_high > params_.t_low);
-  assert(params_.d_min_rtt > 0.0);
-  require_min_rate_feasible("TimelyFluidBase", params_.num_flows, kMinRatePps,
-                            params_.capacity_pps());
+void require_valid_timely_params(const char* component,
+                                 const TimelyFluidParams& params) {
+  assert(params.num_flows >= 1);
+  require_precondition(params.t_low > 0.0, component, "t_low", params.t_low,
+                       "T_low must be positive: the reference queue "
+                       "q' = C*T_low divides the Equation-29 error");
+  require_precondition(params.t_high > params.t_low, component, "t_high",
+                       params.t_high, "T_high must exceed T_low");
+  require_precondition(params.d_min_rtt > 0.0, component, "d_min_rtt",
+                       params.d_min_rtt,
+                       "D_minRTT must be positive: it normalizes the gradient");
+  require_min_rate_feasible(component, params.num_flows,
+                            TimelyFluidBase::kMinRatePps,
+                            params.capacity_pps());
+}
+
+TimelyFluidBase::Coefficients::Coefficients(const TimelyFluidParams& p)
+    : capacity(p.capacity_pps()),
+      delta(p.delta_pps()),
+      segment(p.segment_pkts()),
+      d_min_rtt(p.d_min_rtt),
+      qlow(p.qlow_pkts()),
+      qhigh(p.qhigh_pkts()),
+      qcap(kQueueCapFactor * p.qhigh_pkts()),
+      base_delay(p.base_feedback_delay()),
+      gradient_scale(p.capacity_pps() * p.d_min_rtt),
+      beta(p.beta),
+      beta_high(p.beta_high),
+      alpha_ewma(p.alpha_ewma) {}
+
+bool TimelyFluidBase::Coefficients::threshold_rate_rhs(
+    double q_hat, std::size_t n, const double* rate, const double* tau_star,
+    double* drate) const {
+  if (q_hat < qlow) {
+    for (std::size_t i = 0; i < n; ++i) drate[i] = delta / tau_star[i];
+    return true;
+  }
+  if (q_hat > qhigh) {
+    const double excess = 1.0 - qhigh / q_hat;
+    for (std::size_t i = 0; i < n; ++i) {
+      drate[i] = -beta_high / tau_star[i] * excess * rate[i];
+    }
+    return true;
+  }
+  return false;
+}
+
+TimelyFluidBase::TimelyFluidBase(TimelyFluidParams params)
+    : params_(std::move(params)), coef_(params_) {
+  require_valid_timely_params("TimelyFluidBase", params_);
 }
 
 std::vector<double> TimelyFluidBase::initial_state() const {
@@ -32,33 +79,23 @@ double TimelyFluidBase::suggested_dt() const {
 }
 
 void TimelyFluidBase::clamp(std::span<double> x) const {
-  const double qcap = kQueueCapFactor * params_.qhigh_pkts();
-  x[queue_index()] = std::clamp(x[queue_index()], 0.0, qcap);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[rate_index(i)] =
-        std::clamp(x[rate_index(i)], kMinRatePps, params_.capacity_pps());
-    x[gradient_index(i)] = std::clamp(x[gradient_index(i)], -100.0, 100.0);
+  const Coefficients k = coef_;
+  const std::size_t n = nflows();
+  x[queue_index()] = std::clamp(x[queue_index()], 0.0, k.qcap);
+  double* rate = x.data() + rate_index(0);
+  double* grad = x.data() + gradient_index(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    rate[i] = std::clamp(rate[i], kMinRatePps, k.capacity);
+    grad[i] = std::clamp(grad[i], -100.0, 100.0);
   }
 }
 
 double TimelyFluidBase::max_delay() const {
   const double max_tau_prime =
-      kQueueCapFactor * params_.qhigh_pkts() / params_.capacity_pps() +
-      params_.base_feedback_delay();
+      coef_.qcap / coef_.capacity + coef_.base_delay;
   const double max_tau_star =
-      std::max(params_.segment_pkts() / kMinRatePps, params_.d_min_rtt);
+      std::max(coef_.segment / kMinRatePps, coef_.d_min_rtt);
   return max_tau_prime + max_tau_star + params_.feedback_jitter.amplitude();
-}
-
-double TimelyFluidBase::update_interval(double rate_pps) const {
-  // Equation 23.
-  const double r = std::max(rate_pps, kMinRatePps);
-  return std::max(params_.segment_pkts() / r, params_.d_min_rtt);
-}
-
-double TimelyFluidBase::feedback_delay(double q_pkts) const {
-  // Equation 24: q/C + MTU/C + D_prop (all in packet units, MTU/C = 1/C_pps).
-  return q_pkts / params_.capacity_pps() + params_.base_feedback_delay();
 }
 
 TimelyFluidBase::MeasuredQueue TimelyFluidBase::measured_queue(
@@ -68,8 +105,21 @@ TimelyFluidBase::MeasuredQueue TimelyFluidBase::measured_queue(
   mq.tau_prime = feedback_delay(q_now) + mq.jitter;
   const double sample = past.value(queue_index(), t - mq.tau_prime);
   // Reverse-path jitter shows up as extra apparent queueing delay.
-  mq.q_hat = sample + mq.jitter * params_.capacity_pps();
+  mq.q_hat = sample + mq.jitter * coef_.capacity;
   return mq;
+}
+
+double TimelyFluidBase::queue_rhs(std::span<const double> x,
+                                  std::span<double> dxdt) const {
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  double sum_r = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum_r += rate[i];
+  const double q = x[queue_index()];
+  double dq = sum_r - coef_.capacity;
+  if (q <= 0.0 && dq < 0.0) dq = 0.0;
+  dxdt[queue_index()] = dq;
+  return q;
 }
 
 void TimelyFluidBase::gradient_rhs(double t, std::span<const double> x,
@@ -80,63 +130,60 @@ void TimelyFluidBase::gradient_rhs(double t, std::span<const double> x,
   // update interval apart; both are read through the measured-queue lens so
   // jitter perturbs the *difference* (the paper's "noisy feedback" effect).
   // The recent sample is exactly the q_hat the rate branches use.
+  const Coefficients k = coef_;
   const double q_recent = mq.q_hat;
   const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  double* dgrad = dxdt.data() + gradient_index(0);
   tau_star_buf_.resize(n);
   lookup_times_.resize(n);
   lookup_vals_.resize(n);
+  double* tau_star = tau_star_buf_.data();
+  double* times = lookup_times_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    tau_star_buf_[i] = update_interval(x[rate_index(static_cast<int>(i))]);
-    lookup_times_[i] = t - mq.tau_prime - tau_star_buf_[i];
+    tau_star[i] = k.update_interval(rate[i]);
+    times[i] = t - mq.tau_prime - tau_star[i];
   }
   // Batched per-flow lookups: flows with bitwise-equal rates (the symmetric
   // many-flow case) share one history search.
   past.values_at(queue_index(), lookup_times_, lookup_vals_);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    const double tau_star = tau_star_buf_[static_cast<std::size_t>(i)];
-    const double jitter_prev = params_.feedback_jitter.value(t - tau_star);
-    const double q_prev = lookup_vals_[static_cast<std::size_t>(i)] +
-                          jitter_prev * params_.capacity_pps();
-    const double normalized = (q_recent - q_prev) /
-                              (params_.capacity_pps() * params_.d_min_rtt);
-    dxdt[gradient_index(i)] = params_.alpha_ewma / tau_star *
-                              (-x[gradient_index(i)] + normalized);
+  const double* q_prev_sample = lookup_vals_.data();
+  // A disabled jitter process is 0 at every instant: skip the per-flow call
+  // but keep the add, so q_prev is bit-identical either way.
+  const JitterProcess& jitter = params_.feedback_jitter;
+  const bool jittered = jitter.enabled();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double jitter_prev = jittered ? jitter.value(t - tau_star[i]) : 0.0;
+    const double q_prev = q_prev_sample[i] + jitter_prev * k.capacity;
+    const double normalized = (q_recent - q_prev) / k.gradient_scale;
+    dgrad[i] = k.alpha_ewma / tau_star[i] * (-grad[i] + normalized);
   }
 }
 
 void TimelyFluidModel::rhs(double t, std::span<const double> x,
                            const History& past, std::span<double> dxdt) const {
-  const TimelyFluidParams& P = params_;
-
-  // Equation 20.
-  double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
-  const double q = x[queue_index()];
-  double dq = sum_r - P.capacity_pps();
-  if (q <= 0.0 && dq < 0.0) dq = 0.0;
-  dxdt[queue_index()] = dq;
-
+  const double q = queue_rhs(x, dxdt);
   // One measured-queue evaluation serves the gradient EWMA and every rate
   // branch below (bit-identical to the former per-use recomputation).
   const MeasuredQueue mq = measured_queue(t, q, past);
   gradient_rhs(t, x, past, mq, dxdt);
 
-  const double q_hat = mq.q_hat;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double tau_star = update_interval(rate);
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;  // additive increase below T_low
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else if (P.strict_gradient_zero ? (grad < 0.0) : (grad <= 0.0)) {
-      dr = P.delta_pps() / tau_star;  // gradient-based additive increase
+  const Coefficients k = coef_;
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  const double* tau_star = tau_star_buf_.data();
+  double* drate = dxdt.data() + rate_index(0);
+  if (k.threshold_rate_rhs(mq.q_hat, n, rate, tau_star, drate)) return;
+  const bool strict = params_.strict_gradient_zero;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = grad[i];
+    if (strict ? (g < 0.0) : (g <= 0.0)) {
+      drate[i] = k.delta / tau_star[i];  // gradient-based increase
     } else {
-      dr = -grad * P.beta / tau_star * rate;  // gradient-based decrease
+      drate[i] = -g * k.beta / tau_star[i] * rate[i];  // and decrease
     }
-    dxdt[rate_index(i)] = dr;
   }
 }
 
@@ -145,13 +192,6 @@ TimelyFluidParams patched_timely_defaults() {
   p.beta = 0.008;
   p.segment = kilobytes(16.0);
   return p;
-}
-
-double PatchedTimelyFluidModel::weight(double gradient) {
-  // Equation 30: linear ramp from 0 at g = -1/4 to 1 at g = +1/4.
-  if (gradient <= -0.25) return 0.0;
-  if (gradient >= 0.25) return 1.0;
-  return 2.0 * gradient + 0.5;
 }
 
 double PatchedTimelyFluidModel::fixed_point_queue_pkts() const {
@@ -165,37 +205,25 @@ double PatchedTimelyFluidModel::fixed_point_queue_pkts() const {
 void PatchedTimelyFluidModel::rhs(double t, std::span<const double> x,
                                   const History& past,
                                   std::span<double> dxdt) const {
-  const TimelyFluidParams& P = params_;
-
-  double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
-  const double q = x[queue_index()];
-  double dq = sum_r - P.capacity_pps();
-  if (q <= 0.0 && dq < 0.0) dq = 0.0;
-  dxdt[queue_index()] = dq;
-
+  const double q = queue_rhs(x, dxdt);
   const MeasuredQueue mq = measured_queue(t, q, past);
   gradient_rhs(t, x, past, mq, dxdt);
 
+  const Coefficients k = coef_;
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  const double* tau_star = tau_star_buf_.data();
+  double* drate = dxdt.data() + rate_index(0);
   const double q_hat = mq.q_hat;
-  const double qref = qref_pkts();
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double tau_star = update_interval(rate);
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else {
-      // Equation 29 middle branch: smooth blend of additive increase and an
-      // absolute-queue-error multiplicative decrease.
-      const double w = weight(grad);
-      dr = (1.0 - w) * P.delta_pps() / tau_star -
-           w * P.beta / tau_star * rate * (q_hat - qref) / qref;
-    }
-    dxdt[rate_index(i)] = dr;
+  if (k.threshold_rate_rhs(q_hat, n, rate, tau_star, drate)) return;
+  // Equation 29 middle branch: smooth blend of additive increase and an
+  // absolute-queue-error multiplicative decrease, with q' = qlow.
+  const double q_error = q_hat - k.qlow;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = weight(grad[i]);
+    drate[i] = (1.0 - w) * k.delta / tau_star[i] -
+               w * k.beta / tau_star[i] * rate[i] * q_error / k.qlow;
   }
 }
 

@@ -23,6 +23,8 @@
 //   q_hat(t) = q(t - tau' - J(t)) + C * J(t)
 // in every place Algorithm 1 reads newRTT.
 
+#include <algorithm>
+
 #include "core/units.hpp"
 #include "fluid/fluid_model.hpp"
 #include "fluid/jitter.hpp"
@@ -66,6 +68,14 @@ struct TimelyFluidParams {
   double base_feedback_delay() const { return 1.0 / capacity_pps() + d_prop; }
 };
 
+/// Constructor-time parameter checks shared by every TIMELY fluid model;
+/// unlike assert() they hold in release builds. Requires T_low > 0 (patched
+/// TIMELY divides by q' = C*T_low), T_high > T_low, D_minRTT > 0 (the
+/// gradient divides by C*D_minRTT) and a feasible rate floor. Throws
+/// InvariantViolation naming `component`.
+void require_valid_timely_params(const char* component,
+                                 const TimelyFluidParams& params);
+
 /// Shared machinery of the original and patched models.
 class TimelyFluidBase : public FluidModel {
  public:
@@ -80,8 +90,48 @@ class TimelyFluidBase : public FluidModel {
   /// tau'(q).
   static constexpr double kQueueCapFactor = 4.0;
 
-  /// Throws InvariantViolation when num_flows * kMinRatePps exceeds the link
-  /// capacity (the rate floor would pin demand above capacity forever).
+  /// The per-flow right-hand sides' constants, derived once from the
+  /// parameters. Each field is a self-contained subexpression of the flow
+  /// equations, and the expressions that read one keep their operand order,
+  /// so hoisting it changes no result bit. Loops copy the struct into a
+  /// local: a member read after a store through dxdt must be reloaded,
+  /// since the compiler cannot rule out that the store aliased it.
+  struct Coefficients {
+    explicit Coefficients(const TimelyFluidParams& p);
+
+    double capacity;        ///< C (packets/s)
+    double delta;           ///< additive increase step (packets/s)
+    double segment;         ///< Seg (packets)
+    double d_min_rtt;       ///< D_minRTT (s)
+    double qlow;            ///< C * T_low (packets); patched TIMELY's q'
+    double qhigh;           ///< C * T_high (packets)
+    double qcap;            ///< kQueueCapFactor * qhigh
+    double base_delay;      ///< 1/C + D_prop, the queue-free part of tau'
+    double gradient_scale;  ///< C * D_minRTT
+    double beta;
+    double beta_high;
+    double alpha_ewma;
+
+    /// Rate-update interval tau* (Equation 23).
+    double update_interval(double rate_pps) const {
+      const double r = std::max(rate_pps, kMinRatePps);
+      return std::max(segment / r, d_min_rtt);
+    }
+    /// Feedback delay tau' (Equation 24), without jitter: q/C + MTU/C +
+    /// D_prop, all in packet units (MTU/C = 1/C).
+    double feedback_delay(double q_pkts) const {
+      return q_pkts / capacity + base_delay;
+    }
+    /// The two flow-independent branches of Equations 21/29: additive
+    /// increase while q_hat < qlow, the T_high brake while q_hat > qhigh.
+    /// Writes drate[0, n) and returns true in those cases; returns false
+    /// (writing nothing) when q_hat is inside the gradient band.
+    bool threshold_rate_rhs(double q_hat, std::size_t n, const double* rate,
+                            const double* tau_star, double* drate) const;
+  };
+
+  /// Throws InvariantViolation when the parameters fail
+  /// require_valid_timely_params.
   explicit TimelyFluidBase(TimelyFluidParams params);
 
   const TimelyFluidParams& params() const { return params_; }
@@ -97,7 +147,7 @@ class TimelyFluidBase : public FluidModel {
   std::vector<double> initial_state() const override;
   double suggested_dt() const override;
   double mtu_bytes() const override { return params_.mtu_bytes; }
-  double capacity_pps() const override { return params_.capacity_pps(); }
+  double capacity_pps() const override { return coef_.capacity; }
 
   std::size_t dim() const override {
     return 1 + 2 * static_cast<std::size_t>(params_.num_flows);
@@ -115,9 +165,13 @@ class TimelyFluidBase : public FluidModel {
   }
 
   /// Rate-update interval tau*_i (Equation 23).
-  double update_interval(double rate_pps) const;
+  double update_interval(double rate_pps) const {
+    return coef_.update_interval(rate_pps);
+  }
   /// Feedback delay tau' for the given queue (Equation 24), without jitter.
-  double feedback_delay(double q_pkts) const;
+  double feedback_delay(double q_pkts) const {
+    return coef_.feedback_delay(q_pkts);
+  }
 
  protected:
   std::size_t nflows() const {
@@ -136,10 +190,16 @@ class TimelyFluidBase : public FluidModel {
   MeasuredQueue measured_queue(double t, double q_now,
                                const History& past) const;
 
+  /// Equation 20 into dxdt; returns the current queue q.
+  double queue_rhs(std::span<const double> x, std::span<double> dxdt) const;
+
+  /// Equation 22 into dxdt, leaving each flow's tau*_i in tau_star_buf_ for
+  /// the rate branches.
   void gradient_rhs(double t, std::span<const double> x, const History& past,
                     const MeasuredQueue& mq, std::span<double> dxdt) const;
 
   TimelyFluidParams params_;
+  const Coefficients coef_;
   // Scratch for the batched per-flow delayed queue lookups; models are
   // driven single-threaded per solver (like History's own lookup scratch).
   mutable std::vector<double> tau_star_buf_;
@@ -166,10 +226,16 @@ class PatchedTimelyFluidModel final : public TimelyFluidBase {
       : TimelyFluidBase(std::move(params)) {}
 
   /// Reference queue q' of Equation 29 (packets).
-  double qref_pkts() const { return params_.qlow_pkts(); }
+  double qref_pkts() const { return coef_.qlow; }
 
-  /// Weighting function w(g) of Equation 30 (piecewise-linear ramp).
-  static double weight(double gradient);
+  /// Weighting function w(g) of Equation 30: a linear ramp from 0 at
+  /// g = -1/4 to 1 at g = +1/4. Inline, since both patched models call it
+  /// once per flow.
+  static double weight(double gradient) {
+    if (gradient <= -0.25) return 0.0;
+    if (gradient >= 0.25) return 1.0;
+    return 2.0 * gradient + 0.5;
+  }
 
   /// Unique fixed-point queue length per Theorem 5 / Equation 31 (packets).
   double fixed_point_queue_pkts() const;

@@ -71,10 +71,6 @@ class Switch final : public Node {
   const Port& port(int index) const { return *ports_[static_cast<std::size_t>(index)]; }
   int num_ports() const { return static_cast<int>(ports_.size()); }
 
-  /// Replace the route set for `dst_host` with the single `egress_port`.
-  void set_route(int dst_host, int egress_port) {
-    routes_[dst_host] = {egress_port};
-  }
   /// Append an equal-cost next-hop for `dst_host` (deduplicated). The order
   /// of add_route calls fixes the ECMP candidate order, so callers must add
   /// routes deterministically (build_routes iterates links in wiring order).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "control/dcqcn_analysis.hpp"
 #include "fluid/fluid_model.hpp"
 
@@ -272,6 +275,51 @@ TEST(DcqcnFluid, GoldenTrajectoryPin) {
   EXPECT_EQ(x[m.rate_index(0)], 332164.58844632964);
   EXPECT_EQ(x[m.rate_index(1)], 529594.67821680859);
   EXPECT_EQ(x[m.rate_index(2)], 254675.56349286024);
+}
+
+TEST(DcqcnFluid, GoldenTrajectoryPinSixteenFlowsSpreadRates) {
+  // 17-digit end-state pin where the RateShared memo keeps missing: 16 flows
+  // with distinct rates, alphas and target rates (demand 1.5 C), on the
+  // linear-extension marking profile the fixed-point analysis uses. The
+  // queue must climb past Kmax, where only the extension keeps p < 1.
+  DcqcnFluidParams p;
+  p.num_flows = 16;
+  p.red_linear_extension = true;
+  DcqcnFluidModel m(p);
+  auto x0 = m.initial_state();
+  for (int i = 0; i < p.num_flows; ++i) {
+    const double spread = static_cast<double>(i) / (p.num_flows - 1);
+    x0[m.rate_index(i)] = p.capacity_pps() / p.num_flows * (0.5 + 2.0 * spread);
+    x0[m.target_rate_index(i)] = p.capacity_pps() * (0.3 + 0.7 * spread);
+    x0[m.alpha_index(i)] = 0.1 + 0.8 * spread;
+  }
+  double q_max = 0.0;
+  DdeSolver solver(m, std::move(x0), 0.0, m.suggested_dt());
+  solver.run_until(
+      5e-3,
+      [&](double, std::span<const double> x) {
+        q_max = std::max(q_max, x[m.queue_index()]);
+      },
+      0.0);
+  EXPECT_GT(q_max, p.kmax_pkts());
+  const auto x = solver.state();
+  const double rates[16] = {
+      79900.752406042826, 76540.065169879235,
+      74210.809738825483, 72453.595310571895,
+      71037.835383262413, 69840.953851164697,
+      68793.942738852289, 67855.730769478949,
+      67000.542702490071, 66211.375492242238,
+      65476.482856386232, 64787.402479722994,
+      64137.805855726612, 63522.803173321539,
+      62938.508680047904, 62381.879696931981};
+  EXPECT_EQ(x[m.queue_index()], 734.07300588279008);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(x[m.rate_index(i)], rates[i]) << "flow " << i;
+  }
+  EXPECT_EQ(x[m.alpha_index(0)], 0.1886377548210687);
+  EXPECT_EQ(x[m.alpha_index(15)], 0.70451364110138348);
+  EXPECT_EQ(x[m.target_rate_index(0)], 84710.52646208342);
+  EXPECT_EQ(x[m.target_rate_index(15)], 71097.758330939338);
 }
 
 }  // namespace

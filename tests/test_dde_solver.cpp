@@ -462,5 +462,36 @@ TEST(DdeSolver, DeepRetentionTrajectoryBitIdentical) {
   EXPECT_EQ(sf.state()[1], sd.state()[1]);
 }
 
+
+// Constructor preconditions are InvariantViolations, not assert()s, so they
+// also hold in the default (NDEBUG) build: a zero step used to make
+// run_until's step count infinite, and a negative or NaN one silently
+// integrated nothing.
+TEST(DdeSolver, RejectsNonPositiveOrNonFiniteStep) {
+  DecaySystem sys(1.0);
+  for (double dt : {0.0, -1e-3, std::nan(""), HUGE_VAL}) {
+    try {
+      DdeSolver solver(sys, {1.0}, 0.0, dt);
+      ADD_FAILURE() << "expected InvariantViolation for dt = " << dt;
+    } catch (const InvariantViolation& e) {
+      EXPECT_EQ(e.diagnostic().component, "DdeSolver");
+      EXPECT_EQ(e.diagnostic().variable, "dt");
+    }
+  }
+  EXPECT_NO_THROW(DdeSolver(sys, {1.0}, 0.0, 1e-3));
+}
+
+TEST(DdeSolver, RejectsWrongLengthInitialState) {
+  DecaySystem sys(1.0);
+  try {
+    DdeSolver solver(sys, {1.0, 2.0}, 0.0, 1e-3);
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.diagnostic().component, "DdeSolver");
+    EXPECT_EQ(e.diagnostic().variable, "initial_state");
+    EXPECT_EQ(e.diagnostic().value, 2.0);
+  }
+}
+
 }  // namespace
 }  // namespace ecnd::fluid

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "core/diagnostic.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/fluid_model.hpp"
+#include "fluid/pi_models.hpp"
 #include "fluid/timely_model.hpp"
 
 namespace ecnd::fluid {
@@ -200,6 +203,137 @@ TEST(FluidScale10k, PatchedTimelyHoldsTheorem5QueueAtTenThousandFlows) {
       p.capacity_pps() / p.num_flows * 8.0 * p.mtu_bytes / 1e9;
   EXPECT_NEAR(run.min_rate_gbps.back().value, r_star_gbps, 0.05 * r_star_gbps);
   EXPECT_NEAR(run.max_rate_gbps.back().value, r_star_gbps, 0.05 * r_star_gbps);
+}
+
+
+// 17-digit pins of the 10k-flow hot path: the benchmark's large cells for
+// 20 RK4 steps through simulate_aggregates, so the symmetric per-flow loops
+// at scale must stay bit-identical. Seeded exactly at the fixed point the
+// rates would not move by one ulp in 20 steps (patched TIMELY's Equation-29
+// blend cancels exactly), so the queue starts 10% above q*.
+TEST(FluidScale10k, DcqcnGoldenAggregatesPinTwentySteps) {
+  DcqcnFluidParams p;
+  p.link_rate = gbps(100.0);
+  p.num_flows = 10000;
+  p.red_linear_extension = true;
+  const auto fp = control::solve_dcqcn_fixed_point(p);
+  DcqcnFluidModel m(p);
+  auto x0 = m.initial_state();
+  x0[m.queue_index()] = 1.1 * fp.q_star_pkts;
+  for (int i = 0; i < p.num_flows; ++i) {
+    x0[m.alpha_index(i)] = fp.alpha_star;
+    x0[m.target_rate_index(i)] = fp.target_rate_pps;
+    x0[m.rate_index(i)] = fp.rate_pps;
+  }
+  const double dt = 2e-6;
+  const FluidAggregateRun run =
+      simulate_aggregates(m, 20 * dt, 10 * dt, std::move(x0), dt);
+  ASSERT_EQ(run.queue_bytes.size(), 3u);
+  EXPECT_EQ(run.queue_bytes.back().value, 17474324.815774567);
+  EXPECT_EQ(run.sum_rate_gbps.back().value, 89.300157926143399);
+  EXPECT_EQ(run.min_rate_gbps.back().value, 0.0089300157926130181);
+  EXPECT_EQ(run.max_rate_gbps.back().value, 0.0089300157926130181);
+}
+
+TEST(FluidScale10k, PatchedTimelyGoldenAggregatesPinTwentySteps) {
+  TimelyFluidParams p = patched_timely_defaults();
+  p.link_rate = gbps(400.0);
+  p.delta = mbps(1.0);
+  p.num_flows = 10000;
+  PatchedTimelyFluidModel m(p);
+  auto x0 = m.initial_state();
+  x0[m.queue_index()] = 1.1 * m.fixed_point_queue_pkts();
+  const double dt = 1e-6;
+  const FluidAggregateRun run =
+      simulate_aggregates(m, 20 * dt, 10 * dt, std::move(x0), dt);
+  ASSERT_EQ(run.queue_bytes.size(), 3u);
+  EXPECT_EQ(run.queue_bytes.back().value, 11343744.843919707);
+  EXPECT_EQ(run.sum_rate_gbps.back().value, 399.99587520359512);
+  EXPECT_EQ(run.min_rate_gbps.back().value, 0.039999587520366385);
+  EXPECT_EQ(run.max_rate_gbps.back().value, 0.039999587520366385);
+}
+
+
+// Model constructor preconditions hold in release builds too: each one is an
+// InvariantViolation naming the model and the offending parameter, where an
+// assert() used to compile out under NDEBUG.
+void expect_precondition(const std::function<void()>& construct,
+                         const std::string& component,
+                         const std::string& variable) {
+  try {
+    construct();
+    ADD_FAILURE() << "expected InvariantViolation on " << variable;
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.diagnostic().component, component);
+    EXPECT_EQ(e.diagnostic().variable, variable);
+  }
+}
+
+TEST(FluidPreconditions, TimelyRejectsNonPositiveTLow) {
+  for (double t_low : {0.0, -50e-6}) {
+    TimelyFluidParams p;
+    p.t_low = t_low;
+    expect_precondition([&] { TimelyFluidModel{p}; }, "TimelyFluidBase",
+                        "t_low");
+    expect_precondition([&] { PatchedTimelyFluidModel{p}; },
+                        "TimelyFluidBase", "t_low");
+  }
+}
+
+TEST(FluidPreconditions, TimelyRejectsTHighNotAboveTLow) {
+  for (double t_high : {50e-6, 20e-6}) {  // equal to, then below, T_low
+    TimelyFluidParams p;
+    p.t_high = t_high;
+    expect_precondition([&] { TimelyFluidModel{p}; }, "TimelyFluidBase",
+                        "t_high");
+  }
+}
+
+TEST(FluidPreconditions, TimelyRejectsNonPositiveMinRtt) {
+  for (double d_min_rtt : {0.0, -20e-6}) {
+    TimelyFluidParams p;
+    p.d_min_rtt = d_min_rtt;
+    expect_precondition([&] { TimelyFluidModel{p}; }, "TimelyFluidBase",
+                        "d_min_rtt");
+  }
+}
+
+TEST(FluidPreconditions, DcqcnRejectsKmaxNotAboveKmin) {
+  for (Bytes kmax : {kilobytes(40.0), kilobytes(20.0)}) {  // = Kmin, < Kmin
+    DcqcnFluidParams p;
+    p.kmax = kmax;
+    expect_precondition([&] { DcqcnFluidModel{p}; }, "DcqcnFluidModel",
+                        "kmax");
+    expect_precondition([&] { DcqcnPiFluidModel(p, PiControllerParams{}); },
+                        "DcqcnFluidModel", "kmax");
+  }
+}
+
+TEST(FluidPreconditions, DcqcnRejectsPmaxOutsideUnitInterval) {
+  for (double pmax : {0.0, -0.01, 1.5, std::nan("")}) {
+    DcqcnFluidParams p;
+    p.pmax = pmax;
+    expect_precondition([&] { DcqcnFluidModel{p}; }, "DcqcnFluidModel",
+                        "pmax");
+  }
+  DcqcnFluidParams p;
+  p.pmax = 1.0;
+  EXPECT_NO_THROW(DcqcnFluidModel{p});
+}
+
+TEST(FluidPreconditions, TimelyPiRejectsQrefOutsideGradientBand) {
+  const TimelyFluidParams p = patched_timely_defaults();  // band (62.5, 625)
+  for (double qref : {p.qlow_pkts(), 10.0, p.qhigh_pkts(), 1000.0}) {
+    TimelyPiParams pi;
+    pi.qref_pkts = qref;
+    expect_precondition([&] { PatchedTimelyPiFluidModel(p, pi); },
+                        "PatchedTimelyPiFluidModel", "qref_pkts");
+  }
+  TimelyFluidParams bad = p;
+  bad.d_min_rtt = 0.0;
+  expect_precondition([&] { PatchedTimelyPiFluidModel(bad, TimelyPiParams{}); },
+                      "PatchedTimelyPiFluidModel", "d_min_rtt");
+  EXPECT_NO_THROW(PatchedTimelyPiFluidModel(p, TimelyPiParams{}));
 }
 
 }  // namespace

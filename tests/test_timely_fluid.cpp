@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "control/timely_analysis.hpp"
 #include "fluid/fluid_model.hpp"
 
@@ -250,6 +254,111 @@ TEST(TimelyFluid, GoldenTrajectoryPinWithJitter) {
   EXPECT_EQ(x[m.queue_index()], 0.0);
   EXPECT_EQ(x[m.rate_index(0)], 756321.2722689833);
   EXPECT_EQ(x[m.rate_index(1)], 380861.3517757642);
+}
+
+
+// Wider 17-digit end-state pins: 16 flows with spread-out rates summing to
+// 1.5 C, started from a queue of 1.5 x qhigh, for 5 ms. A 50 Mb/s additive
+// step (5x the default) lets the crushed rates refill the queue inside the
+// window, so the run falls through qhigh and qlow and climbs back through
+// qlow with a rising gradient: every rate branch of Equations 21/29 and both
+// clamped ends of the Equation-30 ramp feed the pinned values (the N = 2-3
+// pins above never reach the gradient-decrease branch).
+struct WideTimelyRun {
+  std::vector<double> x;
+  int qhigh_crossings = 0;
+  int qlow_crossings = 0;
+  double band_g_min = 0.0;  ///< gradient extremes while qlow < q < qhigh
+  double band_g_max = 0.0;
+};
+
+template <typename Model>
+WideTimelyRun run_wide_timely(const Model& m) {
+  const TimelyFluidParams& p = m.params();
+  auto x0 = m.initial_state();
+  x0[m.queue_index()] = 1.5 * p.qhigh_pkts();
+  for (int i = 0; i < p.num_flows; ++i) {
+    x0[m.rate_index(i)] = p.capacity_pps() / p.num_flows *
+                          (0.5 + 2.0 * i / (p.num_flows - 1));
+  }
+  WideTimelyRun run;
+  double q_prev = x0[m.queue_index()];
+  DdeSolver solver(m, std::move(x0), 0.0, m.suggested_dt());
+  solver.run_until(
+      5e-3,
+      [&](double, std::span<const double> x) {
+        const double q = x[m.queue_index()];
+        const double qhigh = p.qhigh_pkts();
+        const double qlow = p.qlow_pkts();
+        run.qhigh_crossings += (q_prev > qhigh) != (q > qhigh);
+        run.qlow_crossings += (q_prev < qlow) != (q < qlow);
+        q_prev = q;
+        if (q <= qlow || q >= qhigh) return;
+        for (int i = 0; i < p.num_flows; ++i) {
+          run.band_g_min = std::min(run.band_g_min, x[m.gradient_index(i)]);
+          run.band_g_max = std::max(run.band_g_max, x[m.gradient_index(i)]);
+        }
+      },
+      0.0);
+  run.x.assign(solver.state().begin(), solver.state().end());
+  return run;
+}
+
+void expect_wide_coverage(const WideTimelyRun& run) {
+  EXPECT_GE(run.qhigh_crossings, 1);
+  EXPECT_GE(run.qlow_crossings, 2);
+  EXPECT_LT(run.band_g_min, -0.25);
+  EXPECT_GT(run.band_g_max, 0.25);
+}
+
+TimelyFluidParams wide_params(TimelyFluidParams p) {
+  p.num_flows = 16;
+  p.delta = mbps(50.0);
+  return p;
+}
+
+TEST(TimelyFluid, GoldenTrajectoryPinSixteenFlowsAllBranches) {
+  const TimelyFluidParams p = wide_params(TimelyFluidParams{});
+  TimelyFluidModel m(p);
+  const WideTimelyRun run = run_wide_timely(m);
+  expect_wide_coverage(run);
+  const double rates[16] = {
+      44289.747859786417, 46681.522856517127,
+      48740.565771613168, 50484.329350086024,
+      51965.564722540446, 53234.003261454112,
+      54330.136204533606, 55285.769973844173,
+      56125.75220858222, 56869.591168439234,
+      57532.737453043163, 58127.550368022843,
+      58664.015975416078, 59150.281240705946,
+      59593.053543558191, 59997.902364219233};
+  EXPECT_EQ(run.x[m.queue_index()], 0.0);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(run.x[m.rate_index(i)], rates[i]) << "flow " << i;
+  }
+  EXPECT_EQ(run.x[m.gradient_index(0)], -0.60384125109712705);
+  EXPECT_EQ(run.x[m.gradient_index(15)], -0.5298028956004881);
+}
+
+TEST(PatchedTimely, GoldenTrajectoryPinSixteenFlowsAllBranches) {
+  const TimelyFluidParams p = wide_params(patched_timely_defaults());
+  PatchedTimelyFluidModel m(p);
+  const WideTimelyRun run = run_wide_timely(m);
+  expect_wide_coverage(run);
+  const double rates[16] = {
+      62797.502561041678, 70601.725138328329,
+      76828.654283105861, 81912.578209341562,
+      86141.753306939005, 89715.024434654144,
+      92773.99726089809, 95422.251572090885,
+      97737.302321191295, 99778.313072952646,
+      101591.22331762452, 103212.24769684188,
+      104670.31995925166, 105988.83515819772,
+      107186.91444154101, 108280.33839347074};
+  EXPECT_EQ(run.x[m.queue_index()], 285.24982130243143);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(run.x[m.rate_index(i)], rates[i]) << "flow " << i;
+  }
+  EXPECT_EQ(run.x[m.gradient_index(0)], 2.7422042887793991);
+  EXPECT_EQ(run.x[m.gradient_index(15)], 1.6718523181818052);
 }
 
 }  // namespace
