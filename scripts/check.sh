@@ -28,16 +28,15 @@
 # checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4, stdout
 # untouched by the writer, and no manifest file under -DECND_OBS=OFF.
 #
-# --perf re-measures the engine hot loops (bench_micro_perf's dedicated
-# baseline timing loops, including the 10k-flow ns_per_flow_rhs scaling
-# guard) and gates them against the committed BENCH_obs.json
-# via ecnd-report's perf path with --strict-perf: a regression beyond a
-# metric's recorded tolerance fails the script. The measurement goes through
-# scripts/bench_baseline.sh, so each --perf run also appends one compact JSON
-# line to BENCH_history.jsonl (the trend log `ecnd-diff --bench-history`
-# renders). Wall-clock numbers only mean anything on the machine that
-# produced the baseline — regenerate it with scripts/bench_baseline.sh when
-# moving boxes.
+# --perf runs the benchmark (ecndbench/, workloads in BENCHMARK.json) A/B on
+# this box: HEAD, checked out as a temporary git worktree, against the working
+# tree. Each side runs every workload once through its own ecndbench/run.py
+# (--seed 1 --seconds 30 --trace 0), and the script exits with
+# ecndbench/compare.py's status: nonzero when an end-to-end metric is worse
+# than its BENCHMARK.json bound, or when the two builds' stamps differ. Both
+# sides are built and measured on the same box in the same session, so no
+# recorded number from another machine enters the verdict. It takes about
+# 5 minutes. The mode takes no argument; the base is always HEAD.
 #
 # --resume-smoke exercises the crash-resume path end to end: run a journaled
 # sweep (bench_fig14 with ECND_JOURNAL), SIGKILL it mid-flight, re-run with
@@ -65,10 +64,27 @@
 # on a perturbed-seed pair, stdout must stay untouched by the sampler, and a
 # -DECND_OBS=OFF build must write no snapshot/profile files.
 #
-# Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan-only|--obs-smoke|--report|--perf|--resume-smoke|--fabric-smoke|--flight-smoke|--diff-smoke]
+# With no argument it runs the plain and sanitized suites. Any argument other
+# than the modes in the usage line below, or more than one, prints that line and
+# exits 2, so a mistyped mode cannot pass as a plain run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+usage="usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan-only|--obs-smoke|--report|--perf|--resume-smoke|--fabric-smoke|--flight-smoke|--diff-smoke]"
+mode="${1:-all}"
+case "${1-}" in
+  "" | --plain-only | --sanitize-only | --tsan-only | --obs-smoke | --report \
+    | --perf | --resume-smoke | --fabric-smoke | --flight-smoke | --diff-smoke) ;;
+  *)
+    echo "$usage" >&2
+    exit 2
+    ;;
+esac
+if [[ $# -gt 1 ]]; then
+  echo "$usage" >&2
+  exit 2
+fi
 
 build_suite() {
   local build_dir="$1"; shift
@@ -82,13 +98,7 @@ run_tests() {
   ECND_THREADS="$threads" ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 }
 
-mode="${1:-all}"
-
-if [[ "$mode" != "--sanitize-only" && "$mode" != "--tsan-only" \
-      && "$mode" != "--obs-smoke" && "$mode" != "--report" \
-      && "$mode" != "--perf" && "$mode" != "--resume-smoke" \
-      && "$mode" != "--fabric-smoke" && "$mode" != "--flight-smoke" \
-      && "$mode" != "--diff-smoke" ]]; then
+if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
   echo "== hash primitives have one home (src/core/hash.hpp) =="
   # The FNV-1a offset basis and the SplitMix64 multiplier mark hand-written
   # copies of the primitives; every caller must use core/hash.hpp instead.
@@ -232,44 +242,48 @@ if [[ "$mode" == "--report" ]]; then
     exit 1
   fi
 
-  # A fresh perf measurement turns the perf rows into real
-  # current-vs-baseline comparisons instead of "no current measurement" warns.
-  echo "-- measuring current perf (bench_micro_perf baseline loops)"
-  ECND_BENCH_JSON="$tmp/bench_current.json" \
-    build/bench/bench_micro_perf --benchmark_filter='^$' > /dev/null 2>&1 || true
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-    "$tmp/bench_current.json"
-
   echo "-- ecnd-report gate (bench/expectations.json)"
   build/src/report/ecnd-report \
     --expectations bench/expectations.json \
     --manifest-dir "$tmp/manifests1" \
-    --bench-baseline BENCH_obs.json \
-    --bench-current "$tmp/bench_current.json" \
     --out REPORT.md
   echo "report: wrote REPORT.md"
 fi
 
 if [[ "$mode" == "--perf" ]]; then
-  echo "== perf gate (bench_micro_perf vs committed BENCH_obs.json) =="
-  build_suite build
+  echo "== perf gate (ecndbench/ at HEAD vs the working tree) =="
   tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
+  base="$tmp/base"
+  trap 'git worktree remove --force "$base" > /dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
+  git worktree add --detach --quiet "$base" HEAD
+  head_sha="$(git rev-parse --short HEAD)"
 
-  echo "-- measuring current tree (bench_baseline.sh -> BENCH_history.jsonl)"
-  scripts/bench_baseline.sh "$tmp/current.json"
+  # One run of one workload on one side; run.py's stdout and its build log go
+  # to a file, which is shown only when the run fails.
+  bench_side() {
+    local label="$1" tree="$2" results="$3" workload="$4" rc=0
+    local log="$tmp/$label-$workload.log"
+    CARGO_TARGET_DIR="$tree/.bench_build" python3 "$tree/ecndbench/run.py" \
+      --workload "$workload" --seed 1 --seconds 30 --trace 0 \
+      --out "$results" > "$log" 2>&1 || rc=$?
+    if [[ $rc -ne 0 ]]; then
+      cat "$log" >&2
+      echo "ERROR: $label run of $workload failed (run.py exit $rc)" >&2
+      exit "$rc"
+    fi
+    grep '^# ' "$log" | sed "s/^# /   $label: /"
+  }
 
-  # Perf-only gate: no observable expectations, just the bench comparison.
-  printf '{"schema": "ecnd-expectations-v1", "tools": {}}\n' \
-    > "$tmp/perf_only_expectations.json"
+  workloads="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in $workloads; do
+    echo "-- $workload"
+    bench_side "HEAD-$head_sha" "$base" "$tmp/base.jsonl" "$workload"
+    bench_side worktree "$PWD" "$tmp/new.jsonl" "$workload"
+  done
 
-  echo "-- ecnd-report --strict-perf (tolerance from BENCH_obs.json)"
-  build/src/report/ecnd-report \
-    --expectations "$tmp/perf_only_expectations.json" \
-    --bench-baseline BENCH_obs.json \
-    --bench-current "$tmp/current.json" \
-    --strict-perf
-  echo "perf gate: within baseline tolerance"
+  echo "-- compare.py (bounds from BENCHMARK.json)"
+  python3 ecndbench/compare.py "$tmp/base.jsonl" "$tmp/new.jsonl" || exit $?
+  echo "perf gate: no end-to-end metric worse than its bound"
 fi
 
 if [[ "$mode" == "--resume-smoke" ]]; then

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/export_file.hpp"
 #include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -346,20 +346,13 @@ void write_flight_pausetree_json(std::ostream& out) {
 }
 
 void write_flight_files(const char* prefix) {
-  const auto write_one = [&](const char* suffix,
-                             void (*writer)(std::ostream&)) {
-    const std::string path = std::string(prefix) + suffix;
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "[obs] cannot open ECND_FLIGHT path %s\n",
-                   path.c_str());
-      return;
-    }
-    writer(out);
-  };
-  write_one(".postcards.json", &write_flight_postcards_json);
-  write_one(".timeline.json", &write_flight_timeline_json);
-  write_one(".pausetree.json", &write_flight_pausetree_json);
+  const std::string p = prefix;
+  write_export_file("ECND_FLIGHT", p + ".postcards.json",
+                    &write_flight_postcards_json);
+  write_export_file("ECND_FLIGHT", p + ".timeline.json",
+                    &write_flight_timeline_json);
+  write_export_file("ECND_FLIGHT", p + ".pausetree.json",
+                    &write_flight_pausetree_json);
 }
 
 }  // namespace ecnd::obs

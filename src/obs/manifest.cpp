@@ -4,11 +4,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "core/hash.hpp"
+#include "obs/export_file.hpp"
 #include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -170,13 +170,8 @@ const char* RunManifest::env_path() { return std::getenv("ECND_MANIFEST"); }
 bool RunManifest::write_if_requested() const {
   const char* path = env_path();
   if (path == nullptr) return false;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_MANIFEST path %s\n", path);
-    return false;
-  }
-  write(out);
-  return static_cast<bool>(out);
+  return write_export_file("ECND_MANIFEST", path,
+                           [this](std::ostream& out) { write(out); });
 }
 
 }  // namespace ecnd::obs

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/export_file.hpp"
 #include "obs/flight.hpp"
 #include "obs/json_text.hpp"
 #include "obs/profile.hpp"
@@ -196,27 +196,16 @@ double bucket_percentile(const std::uint64_t* buckets, std::uint64_t count,
   return static_cast<double>(bucket_lower_edge(kHistogramBuckets - 1));
 }
 
-void write_metrics_file(const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_METRICS path %s\n", path);
-    return;
-  }
-  dump_metrics_json(out, std::getenv("ECND_METRICS_WALL") != nullptr);
-}
-
-void write_trace_file(const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_TRACE path %s\n", path);
-    return;
-  }
-  write_trace_json(out);
-}
-
 void export_at_exit() {
-  if (const char* path = std::getenv("ECND_METRICS")) write_metrics_file(path);
-  if (const char* path = std::getenv("ECND_TRACE")) write_trace_file(path);
+  if (const char* path = std::getenv("ECND_METRICS")) {
+    const bool wall = std::getenv("ECND_METRICS_WALL") != nullptr;
+    write_export_file("ECND_METRICS", path, [wall](std::ostream& out) {
+      dump_metrics_json(out, wall);
+    });
+  }
+  if (const char* path = std::getenv("ECND_TRACE")) {
+    write_export_file("ECND_TRACE", path, &write_trace_json);
+  }
   if (const char* prefix = std::getenv("ECND_FLIGHT")) {
     write_flight_files(prefix);
   }

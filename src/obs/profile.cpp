@@ -3,11 +3,12 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <utility>
+
+#include "obs/export_file.hpp"
 
 namespace ecnd::obs {
 
@@ -215,10 +216,10 @@ void write_profile_folded(std::ostream& out, bool wall_values) {
 }
 
 void write_profile_folded_file(const char* prefix, bool wall_values) {
-  const std::string path = std::string(prefix) + ".prof.folded";
-  std::ofstream out(path);
-  if (!out) return;
-  write_profile_folded(out, wall_values);
+  write_export_file("ECND_PROF", std::string(prefix) + ".prof.folded",
+                    [wall_values](std::ostream& out) {
+                      write_profile_folded(out, wall_values);
+                    });
 }
 
 }  // namespace ecnd::obs

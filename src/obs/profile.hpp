@@ -6,8 +6,8 @@
 //   * ScopedTimer (metrics_enabled): brackets a region and records its
 //     duration in nanoseconds into a histogram on destruction. Derived
 //     figures — ns per simulated event, ns per RK4 step — come from dividing
-//     a prof.* histogram's sum by the matching sim-domain counter (see
-//     scripts/bench_baseline.sh).
+//     a prof.* histogram's sum by the matching sim-domain counter. Gated
+//     per-layer costs come from the benchmark in ecndbench/ instead.
 //   * The frame stack (profile_enabled, armed by ECND_PROF=<prefix>): every
 //     ScopedTimer with a label, and every ProfScope, pushes a frame onto a
 //     TLS stack. Nested scopes form a call tree per thread — node = (parent,

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export_file.hpp"
 #include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -316,10 +316,9 @@ void write_metrics_ts_json(std::ostream& out) {
 }
 
 void write_metrics_ts_file(const char* prefix) {
-  const std::string path = std::string(prefix) + ".metrics_ts.json";
-  std::ofstream out(path);
-  if (!out) return;
-  write_metrics_ts_json(out);
+  write_export_file("ECND_METRICS_TS",
+                    std::string(prefix) + ".metrics_ts.json",
+                    &write_metrics_ts_json);
 }
 
 }  // namespace ecnd::obs

@@ -1,14 +1,12 @@
 // ecnd-diff: regression forensics over two run artifacts.
 //
 //   ecnd-diff [--tolerance <rel>] [--out <path>] <artifact-A> <artifact-B>
-//   ecnd-diff --bench-history <BENCH_history.jsonl> [--out <path>]
 //
 // Artifact kinds are auto-detected (manifest, metrics dump, metrics_ts
-// snapshot, bench baseline, sweep journal); both sides must be the same
-// kind. Output is markdown (stdout by default). Exit status mirrors
-// ecnd-report: 0 = no differences (after --tolerance suppression),
-// 1 = numeric drift, 2 = structural mismatch / parse error / usage error.
-// --bench-history renders the perf trend table instead and exits 0.
+// snapshot, sweep journal); both sides must be the same kind. Output is
+// markdown (stdout by default). Exit status mirrors ecnd-report: 0 = no
+// differences (after --tolerance suppression), 1 = numeric drift,
+// 2 = structural mismatch / parse error / usage error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,15 +22,13 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: ecnd-diff [--tolerance <rel>] [--out <path>] <A> <B>\n"
-               "       ecnd-diff --bench-history <file.jsonl> [--out <path>]\n");
+               "usage: ecnd-diff [--tolerance <rel>] [--out <path>] <A> <B>\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
-  std::string history_path;
   double tolerance = 0.0;
   std::vector<std::string> files;
 
@@ -57,8 +53,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = next(i);
-    } else if (std::strcmp(arg, "--bench-history") == 0) {
-      history_path = next(i);
     } else if (std::strcmp(arg, "--help") == 0) {
       usage();
       return 0;
@@ -81,15 +75,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       out = &out_file;
-    }
-
-    if (!history_path.empty()) {
-      if (!files.empty()) {
-        usage();
-        return 2;
-      }
-      ecnd::report::write_bench_history_markdown(*out, history_path);
-      return 0;
     }
 
     if (files.size() != 2) {

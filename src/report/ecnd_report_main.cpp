@@ -1,19 +1,16 @@
-// ecnd-report: aggregate run manifests + perf baselines into a Markdown
-// regression report gated on bench/expectations.json.
+// ecnd-report: aggregate run manifests into a Markdown regression report
+// gated on bench/expectations.json.
 //
 // Usage:
 //   ecnd-report --expectations bench/expectations.json
 //               --manifest-dir build/manifests
 //               [--manifest path.json ...]
-//               [--bench-baseline BENCH_obs.json]
-//               [--bench-current current.json]
-//               [--out report.md] [--strict-perf]
+//               [--out report.md]
 //
 // Exit status: 0 all expectations pass (warnings allowed), 1 any FAIL,
-// 2 usage / I/O / parse error.
+// 2 usage / I/O / parse error, including a --manifest-dir that is not a
+// directory.
 
-#include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -23,7 +20,6 @@
 #include "report/json.hpp"
 #include "report/report.hpp"
 
-namespace fs = std::filesystem;
 using ecnd::report::Json;
 
 namespace {
@@ -31,8 +27,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --expectations FILE [--manifest-dir DIR] [--manifest FILE]...\n"
-               "       [--bench-baseline FILE] [--bench-current FILE]\n"
-               "       [--out FILE] [--strict-perf]\n";
+               "       [--out FILE]\n";
   return 2;
 }
 
@@ -42,10 +37,7 @@ int main(int argc, char** argv) {
   std::string expectations_path;
   std::string manifest_dir;
   std::vector<std::string> manifest_paths;
-  std::string bench_baseline_path;
-  std::string bench_current_path;
   std::string out_path;
-  bool strict_perf = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -62,14 +54,8 @@ int main(int argc, char** argv) {
       manifest_dir = next();
     } else if (arg == "--manifest") {
       manifest_paths.push_back(next());
-    } else if (arg == "--bench-baseline") {
-      bench_baseline_path = next();
-    } else if (arg == "--bench-current") {
-      bench_current_path = next();
     } else if (arg == "--out") {
       out_path = next();
-    } else if (arg == "--strict-perf") {
-      strict_perf = true;
     } else if (arg == "-h" || arg == "--help") {
       return usage(argv[0]);
     } else {
@@ -94,16 +80,8 @@ int main(int argc, char** argv) {
     // Enumerate manifests: explicit --manifest paths plus every *.json in
     // --manifest-dir, in sorted order so the report is deterministic.
     if (!manifest_dir.empty()) {
-      std::vector<std::string> found;
-      if (fs::is_directory(manifest_dir)) {
-        for (const auto& entry : fs::directory_iterator(manifest_dir)) {
-          if (entry.is_regular_file() &&
-              entry.path().extension() == ".json") {
-            found.push_back(entry.path().string());
-          }
-        }
-      }
-      std::sort(found.begin(), found.end());
+      const std::vector<std::string> found =
+          ecnd::report::list_manifest_dir(manifest_dir);
       manifest_paths.insert(manifest_paths.end(), found.begin(), found.end());
     }
 
@@ -119,23 +97,13 @@ int main(int argc, char** argv) {
       manifests.push_back(std::move(m));
     }
 
-    Json bench_baseline;
-    Json bench_current;
-    const bool have_baseline = !bench_baseline_path.empty();
-    const bool have_current = !bench_current_path.empty();
-    if (have_baseline) bench_baseline = Json::parse_file(bench_baseline_path);
-    if (have_current) bench_current = Json::parse_file(bench_current_path);
-
-    const ecnd::report::Report report = ecnd::report::evaluate(
-        expectations, manifests, have_baseline ? &bench_baseline : nullptr,
-        have_current ? &bench_current : nullptr, strict_perf);
+    const ecnd::report::Report report =
+        ecnd::report::evaluate(expectations, manifests);
 
     std::ostringstream meta;
     meta << "expectations: " << expectations_path << " · manifests: "
          << manifests.size();
     if (skipped > 0) meta << " (" << skipped << " non-manifest JSON skipped)";
-    if (have_baseline) meta << " · perf baseline: " << bench_baseline_path;
-    if (strict_perf) meta << " · strict-perf";
 
     if (out_path.empty()) {
       ecnd::report::write_markdown(report, meta.str(), std::cout);

@@ -1,10 +1,10 @@
 #pragma once
 // Minimal JSON DOM + recursive-descent parser for the regression reporter:
-// enough to read run manifests (obs/manifest.hpp), metric dumps, perf
-// baselines (BENCH_obs.json) and bench/expectations.json without external
-// dependencies. Numbers are doubles, objects are sorted maps (key order in
-// the file does not matter to consumers), parse errors throw
-// std::runtime_error with a line/column position.
+// enough to read run manifests (obs/manifest.hpp), metric dumps, metric
+// snapshots and bench/expectations.json without external dependencies.
+// Numbers are doubles, objects are sorted maps (key order in the file does
+// not matter to consumers), parse errors throw std::runtime_error with a
+// line/column position.
 
 #include <cstddef>
 #include <map>

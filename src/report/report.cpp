@@ -1,8 +1,11 @@
 #include "report/report.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <ostream>
+#include <stdexcept>
 
 namespace ecnd::report {
 
@@ -109,79 +112,6 @@ Finding check_observable(const std::string& tool, const std::string& name,
   return f;
 }
 
-/// Baseline entry -> (value, tolerance); handles v2 objects and v1 numbers.
-bool baseline_entry(const Json& entry, double default_tolerance, double* value,
-                    double* tolerance) {
-  if (entry.is_number()) {
-    *value = entry.number();
-    *tolerance = default_tolerance;
-    return true;
-  }
-  if (entry.is_object()) {
-    const std::optional<double> v = entry.get_number("value");
-    if (!v) return false;
-    *value = *v;
-    *tolerance = entry.get_number("tolerance").value_or(default_tolerance);
-    return true;
-  }
-  return false;
-}
-
-void perf_section(const Json& baseline, const Json* current, bool strict_perf,
-                  double default_tolerance, Report* report) {
-  const Json* metrics = baseline.get("metrics");
-  const Json& base_map = metrics != nullptr ? *metrics : baseline;
-  if (!base_map.is_object()) return;
-  for (const auto& [name, entry] : base_map.object()) {
-    // v1 flat form carries its schema tag alongside the metrics.
-    if (name == "schema" || name == "git_sha" || name == "machine") continue;
-    double base = 0.0, tol = default_tolerance;
-    if (!baseline_entry(entry, default_tolerance, &base, &tol)) continue;
-
-    Finding f;
-    f.tool = "perf";
-    f.name = name;
-    char expected[96];
-    std::snprintf(expected, sizeof(expected), "%.6g ± %.0f%%", base,
-                  tol * 100.0);
-    f.expected = expected;
-
-    std::optional<double> cur;
-    if (current != nullptr) {
-      const Json* cm = current->get("metrics");
-      const Json& cur_map = cm != nullptr ? *cm : *current;
-      if (cur_map.is_object()) {
-        if (const Json* c = cur_map.get(name); c != nullptr) {
-          double cv = 0.0, unused = 0.0;
-          if (baseline_entry(*c, default_tolerance, &cv, &unused)) {
-            f.value = cv;
-            cur = cv;
-          }
-        }
-      }
-    }
-    if (!cur) {
-      f.status = Status::kWarn;
-      f.note = "no current measurement — pass --bench-current (check.sh "
-               "--report measures one; see also check.sh --perf)";
-      report->perf.push_back(f);
-      continue;
-    }
-    const double ratio = base != 0.0 ? *cur / base : 0.0;
-    char note[96];
-    std::snprintf(note, sizeof(note), "current/baseline = %.2f", ratio);
-    f.note = note;
-    if (ratio >= 1.0 - tol && ratio <= 1.0 + tol) {
-      f.status = Status::kPass;
-    } else {
-      f.status = strict_perf ? Status::kFail : Status::kWarn;
-      f.note += ratio > 1.0 ? " (slower than tolerated)"
-                            : " (faster than baseline; consider re-recording)";
-    }
-    report->perf.push_back(f);
-  }
-}
-
 }  // namespace
 
 const char* status_name(Status s) {
@@ -196,15 +126,26 @@ const char* status_name(Status s) {
 int Report::count(Status s) const {
   int n = 0;
   for (const Finding& f : observables) n += f.status == s;
-  for (const Finding& f : perf) n += f.status == s;
   return n;
 }
 
 bool Report::ok() const { return count(Status::kFail) == 0; }
 
-Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
-                const Json* bench_baseline, const Json* bench_current,
-                bool strict_perf, double default_tolerance) {
+std::vector<std::string> list_manifest_dir(const std::string& dir) {
+  if (!std::filesystem::is_directory(dir)) {
+    throw std::runtime_error("--manifest-dir " + dir + " is not a directory");
+  }
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      found.push_back(entry.path().string());
+    }
+  }
+  std::sort(found.begin(), found.end());
+  return found;
+}
+
+Report evaluate(const Json& expectations, const std::vector<Json>& manifests) {
   Report report;
 
   // Index manifests by their tool name; last one wins (a re-run overwrote
@@ -244,11 +185,6 @@ Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
       }
     }
   }
-
-  if (bench_baseline != nullptr) {
-    perf_section(*bench_baseline, bench_current, strict_perf,
-                 default_tolerance, &report);
-  }
   return report;
 }
 
@@ -268,19 +204,6 @@ void write_markdown(const Report& report, const std::string& meta,
           << f.name << "` | " << format_value(f.value) << " | " << f.expected
           << " | " << f.note << " |\n";
     }
-  }
-
-  if (!report.perf.empty()) {
-    out << "\n## Perf vs recorded baseline\n\n";
-    out << "| status | metric | current | expected | note |\n";
-    out << "|---|---|---|---|---|\n";
-    for (const Finding& f : report.perf) {
-      out << "| " << status_marker(f.status) << " | `" << f.name << "` | "
-          << format_value(f.value) << " | " << f.expected << " | " << f.note
-          << " |\n";
-    }
-    out << "\nWall-clock perf rows warn rather than fail unless --strict-perf "
-           "is set; compare only runs from the same machine.\n";
   }
 
   out << "\n## Summary\n\n";

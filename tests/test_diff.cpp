@@ -1,13 +1,12 @@
 // ecnd-diff engine (src/report/diff): artifact kind detection, the severity
 // ladder (clean / numeric drift / structural mismatch) that becomes the CLI's
 // 0/1/2 exit status, tolerance suppression, first-divergence localization in
-// metric time-series, and torn-tail tolerance for the append-only formats.
+// metric time-series, and torn-tail tolerance for the sweep journal.
 // Golden inputs are written to the test temp dir — the library is pure
 // file-in/report-out, so these are end-to-end minus main().
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,13 +24,19 @@ std::string write_artifact(const std::string& name, const std::string& text) {
   return path;
 }
 
-const char kMetricsA[] =
-    R"({"schema": "ecnd-metrics-v1",
-        "counters": {"sim.events": 1000, "fluid.steps": 50},
-        "gauges": {"sim.heap_peak": 64},
-        "histograms": {"prof.run_ns": {"count": 4, "sum": 100,
-                                       "buckets": [[0, 4]],
-                                       "p50": 25, "p99": 40}}})";
+std::string metrics_dump(double sim_events) {
+  std::ostringstream out;
+  out << R"({"schema": "ecnd-metrics-v1",
+             "counters": {"sim.events": )"
+      << sim_events << R"(, "fluid.steps": 50},
+             "gauges": {"sim.heap_peak": 64},
+             "histograms": {"prof.run_ns": {"count": 4, "sum": 100,
+                                            "buckets": [[0, 4]],
+                                            "p50": 25, "p99": 40}}})";
+  return out.str();
+}
+
+const std::string kMetricsA = metrics_dump(1000);
 
 std::string manifest(const std::string& tool, double param) {
   std::ostringstream out;
@@ -52,16 +57,6 @@ std::string metrics_ts(double third_sample) {
   return out.str();
 }
 
-// Single-line on purpose: bench docs double as BENCH_history.jsonl lines.
-std::string bench(double value) {
-  std::ostringstream out;
-  out << R"({"schema": "ecnd-bench-v2", "git_sha": "abc123", )"
-      << R"("machine": {"arch": "x86_64", "hw_threads": 4}, )"
-      << R"("metrics": {"ns_per_event": {"value": )" << value
-      << R"(, "tolerance": 0.5}}})";
-  return out.str();
-}
-
 TEST(DiffDetect, ClassifiesEveryArtifactKind) {
   EXPECT_EQ(detect_artifact(write_artifact("k_metrics.json", kMetricsA)),
             "metrics");
@@ -70,17 +65,21 @@ TEST(DiffDetect, ClassifiesEveryArtifactKind) {
       "manifest");
   EXPECT_EQ(detect_artifact(write_artifact("k_ts.json", metrics_ts(30))),
             "metrics_ts");
-  EXPECT_EQ(detect_artifact(write_artifact("k_bench.json", bench(100))),
-            "bench");
   EXPECT_EQ(detect_artifact(write_artifact(
                 "k_journal.txt",
                 "ecnd1 0123456789abcdef done v=1\n")),
             "journal");
-  // History JSONL: whole-file parse fails, first line is a bench doc.
-  EXPECT_EQ(detect_artifact(write_artifact("k_hist.jsonl",
-                                           bench(100) + "\n" + bench(101) +
-                                               "\n")),
-            "bench_history");
+  // The retired perf-baseline schema is no longer a diffable kind; perf
+  // results are compared by ecndbench/compare.py.
+  try {
+    detect_artifact(write_artifact(
+        "k_bench.json", R"({"schema": "ecnd-bench-v2", "metrics": {}})"));
+    FAIL() << "expected the bench schema to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unrecognized schema"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(detect_artifact(write_artifact("k_junk.txt", "not json\n")),
                std::runtime_error);
   EXPECT_THROW(detect_artifact(::testing::TempDir() + "ecnd_diff_missing"),
@@ -98,14 +97,7 @@ TEST(DiffMetrics, IdenticalFilesAreCleanExitZero) {
 
 TEST(DiffMetrics, DriftIsNumericAndToleranceSuppressesIt) {
   const std::string a = write_artifact("m_drift_a.json", kMetricsA);
-  const std::string b = write_artifact(
-      "m_drift_b.json",
-      R"({"schema": "ecnd-metrics-v1",
-          "counters": {"sim.events": 1100, "fluid.steps": 50},
-          "gauges": {"sim.heap_peak": 64},
-          "histograms": {"prof.run_ns": {"count": 4, "sum": 100,
-                                         "buckets": [[0, 4]],
-                                         "p50": 25, "p99": 40}}})");
+  const std::string b = write_artifact("m_drift_b.json", metrics_dump(1100));
   const DiffResult drift = diff_artifacts(a, b);
   EXPECT_EQ(drift.severity(), DiffSeverity::kNumeric);
   ASSERT_EQ(drift.entries.size(), 1u);
@@ -165,20 +157,6 @@ TEST(DiffMetricsTs, LocalizesFirstDivergentSimTimestamp) {
       << r.entries[0].note;
 }
 
-TEST(DiffBench, DriftInsideBaselineToleranceStillExitsOne) {
-  const std::string a = write_artifact("b_a.json", bench(100));
-  const std::string b = write_artifact("b_b.json", bench(120));
-  const DiffResult r = diff_artifacts(a, b);
-  // +20% is inside the metric's own 50% tolerance — annotated, but drift is
-  // drift: the CLI still exits 1 so automation notices the change.
-  EXPECT_EQ(r.severity(), DiffSeverity::kNumeric);
-  ASSERT_EQ(r.entries.size(), 1u);
-  EXPECT_NE(r.entries[0].note.find("within baseline tolerance"),
-            std::string::npos)
-      << r.entries[0].note;
-  EXPECT_FALSE(r.context.empty()) << "bench diffs carry SHA/machine context";
-}
-
 TEST(DiffJournal, QuarantineFlipIsNumericAndTornTailIsSkipped) {
   const std::string a = write_artifact(
       "j_a.txt",
@@ -208,29 +186,14 @@ TEST(DiffKinds, MismatchedArtifactKindsAreStructural) {
 }
 
 TEST(DiffMarkdown, RendersTableAndSummary) {
-  const std::string a = write_artifact("md_a.json", bench(100));
-  const std::string b = write_artifact("md_b.json", bench(120));
+  const std::string a = write_artifact("md_a.json", kMetricsA);
+  const std::string b = write_artifact("md_b.json", metrics_dump(1200));
   std::ostringstream out;
   write_markdown(out, diff_artifacts(a, b));
   const std::string text = out.str();
-  EXPECT_NE(text.find("# ecnd-diff: bench"), std::string::npos) << text;
+  EXPECT_NE(text.find("# ecnd-diff: metrics"), std::string::npos) << text;
   EXPECT_NE(text.find("| kind | key | A | B | note |"), std::string::npos);
   EXPECT_NE(text.find("worst: drift"), std::string::npos) << text;
-}
-
-TEST(DiffBenchHistory, TornTailIsSkippedNotFatal) {
-  const std::string path = write_artifact(
-      "hist.jsonl", bench(100) + "\n" + bench(110) + "\n" +
-                        R"({"schema": "ecnd-bench-v2", "git_sha": "tor)");
-  std::ostringstream out;
-  write_bench_history_markdown(out, path);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("2 entries"), std::string::npos) << text;
-  EXPECT_NE(text.find("1 unparseable line(s) skipped"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("## ns_per_event"), std::string::npos) << text;
-  // Step-over-step delta, relative to the larger magnitude: 10/110 = 9.09%.
-  EXPECT_NE(text.find("+9.09%"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Regression reporter (src/report): JSON parser round-trips the formats the
-// repo emits, and evaluate() implements the documented pass/warn/fail
-// semantics — missing or null observables fail (a gate that cannot measure is
-// broken, not green), soft ranges warn, perf deltas warn unless strict.
+// repo emits, evaluate() implements the documented pass/warn/fail semantics —
+// missing or null observables fail (a gate that cannot measure is broken, not
+// green), soft ranges warn — and a manifest directory that does not exist is
+// an error naming the path, never zero manifests.
 
 #include "report/report.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -139,8 +142,7 @@ const Finding& find(const Report& r, const std::string& name) {
 }
 
 TEST(Evaluate, StatusSemantics) {
-  const Report r =
-      evaluate(expectations(), {manifest()}, nullptr, nullptr, false);
+  const Report r = evaluate(expectations(), {manifest()});
   EXPECT_EQ(find(r, "in_range").status, Status::kPass);
   EXPECT_EQ(find(r, "soft").status, Status::kWarn);     // inside hard, below warn_min
   EXPECT_EQ(find(r, "too_big").status, Status::kFail);  // outside hard range
@@ -152,66 +154,58 @@ TEST(Evaluate, StatusSemantics) {
 }
 
 TEST(Evaluate, MissingManifestIsOneFailure) {
-  const Report r = evaluate(expectations(), {}, nullptr, nullptr, false);
+  const Report r = evaluate(expectations(), {});
   ASSERT_EQ(r.observables.size(), 1u);
   EXPECT_EQ(r.observables[0].status, Status::kFail);
   EXPECT_EQ(r.observables[0].name, "(manifest)");
 }
 
 TEST(Evaluate, NonManifestJsonIsIgnored) {
-  const Json stray = Json::parse(R"({"schema": "ecnd-bench-v2"})");
-  const Report with = evaluate(expectations(), {stray, manifest()}, nullptr,
-                               nullptr, false);
+  const Json stray = Json::parse(R"({"schema": "ecnd-metrics-v1"})");
+  const Report with = evaluate(expectations(), {stray, manifest()});
   EXPECT_EQ(find(with, "in_range").status, Status::kPass);
 }
 
-TEST(Evaluate, PerfToleranceWarnsByDefaultFailsWhenStrict) {
-  const Json baseline = Json::parse(R"({
-    "schema": "ecnd-bench-v2",
-    "metrics": {
-      "fast": {"value": 100.0, "tolerance": 0.5},
-      "slow": {"value": 100.0, "tolerance": 0.1}
-    }
-  })");
-  const Json current = Json::parse(R"({
-    "schema": "ecnd-bench-v2",
-    "metrics": {
-      "fast": {"value": 120.0},
-      "slow": {"value": 150.0}
-    }
-  })");
-  const Json empty_exp = Json::parse(R"({"schema": "ecnd-expectations-v1"})");
-
-  const Report lenient =
-      evaluate(empty_exp, {}, &baseline, &current, false);
-  ASSERT_EQ(lenient.perf.size(), 2u);
-  EXPECT_EQ(lenient.count(Status::kFail), 0);
-  EXPECT_EQ(lenient.count(Status::kWarn), 1);  // slow is out of tolerance
-
-  const Report strict = evaluate(empty_exp, {}, &baseline, &current, true);
-  EXPECT_EQ(strict.count(Status::kFail), 1);
-}
-
-TEST(Evaluate, LegacyV1FlatBaselineStillCompares) {
-  const Json baseline = Json::parse(
-      R"({"schema": "ecnd-bench-v1", "ns_per_sim_event": 100.0})");
-  const Json current = Json::parse(
-      R"({"schema": "ecnd-bench-v1", "ns_per_sim_event": 130.0})");
-  const Json empty_exp = Json::parse(R"({"schema": "ecnd-expectations-v1"})");
-  const Report r = evaluate(empty_exp, {}, &baseline, &current, false, 0.5);
-  ASSERT_EQ(r.perf.size(), 1u);
-  EXPECT_EQ(r.perf[0].status, Status::kPass);  // 1.3x within default 50%
-}
-
 TEST(WriteMarkdown, VerdictLineMatchesReport) {
-  const Report r =
-      evaluate(expectations(), {manifest()}, nullptr, nullptr, false);
+  const Report r = evaluate(expectations(), {manifest()});
   std::ostringstream out;
   write_markdown(r, "meta line", out);
   const std::string text = out.str();
   EXPECT_NE(text.find("gate FAILS"), std::string::npos);
   EXPECT_NE(text.find("meta line"), std::string::npos);
   EXPECT_NE(text.find("`too_big`"), std::string::npos);
+}
+
+// --- list_manifest_dir() -----------------------------------------------------
+
+TEST(ListManifestDir, SortedJsonFilesOnly) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ecnd_report_manifests";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "nested.json");
+  for (const char* name : {"b.json", "a.json", "notes.txt"}) {
+    std::ofstream(dir / name) << "{}";
+  }
+  const std::vector<std::string> found = list_manifest_dir(dir.string());
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0], (dir / "a.json").string());
+  EXPECT_EQ(found[1], (dir / "b.json").string());
+}
+
+TEST(ListManifestDir, MissingDirectoryIsAnErrorNamingThePath) {
+  const std::string missing = ::testing::TempDir() + "ecnd_report_no_such_dir";
+  std::filesystem::remove_all(missing);
+  try {
+    list_manifest_dir(missing);
+    FAIL() << "expected an error for a missing directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--manifest-dir " + missing + " is not a directory");
+  }
+  // A regular file is not a directory either.
+  const std::string file = ::testing::TempDir() + "ecnd_report_plain_file";
+  std::ofstream(file) << "{}";
+  EXPECT_THROW(list_manifest_dir(file), std::runtime_error);
 }
 
 }  // namespace

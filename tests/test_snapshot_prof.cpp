@@ -4,15 +4,20 @@
 // behaves the same with or without the ECND_* env knobs. The load-bearing
 // promises under test: snapshot exports byte-identical at any thread count,
 // profiler tree shape independent of nesting accidents (detached anchors,
-// exception unwinding), folded values = deterministic hit counts.
+// exception unwinding), folded values = deterministic hit counts. Every
+// export file goes through obs/export_file.hpp, which reports a path it
+// cannot open or a write that fails.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/parallel.hpp"
+#include "obs/export_file.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
@@ -196,6 +201,28 @@ TEST_F(SnapProfFixture, ProfilerIdleWhenDisarmed) {
   EXPECT_EQ(folded().find("test.prof.never_armed"), std::string::npos);
 }
 
+TEST_F(SnapProfFixture, UnopenableExportPathsAreReported) {
+  // An armed knob whose path cannot be opened must say so, as ECND_METRICS
+  // and ECND_TRACE always did, rather than leave the user to find no file.
+  const std::string dir = ::testing::TempDir() + "ecnd_no_such_export_dir";
+  std::filesystem::remove_all(dir);
+  const std::string prefix = dir + "/run";
+  ::testing::internal::CaptureStderr();
+  obs::write_metrics_ts_file(prefix.c_str());
+  obs::write_profile_folded_file(prefix.c_str());
+  obs::write_flight_files(prefix.c_str());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  for (const std::string& line :
+       {"ECND_METRICS_TS path " + prefix + ".metrics_ts.json",
+        "ECND_PROF path " + prefix + ".prof.folded",
+        "ECND_FLIGHT path " + prefix + ".postcards.json",
+        "ECND_FLIGHT path " + prefix + ".timeline.json",
+        "ECND_FLIGHT path " + prefix + ".pausetree.json"}) {
+    EXPECT_NE(err.find("[obs] cannot open " + line + "\n"), std::string::npos)
+        << err;
+  }
+}
+
 #else  // ECND_OBS_DISABLED
 
 TEST(SnapProfDisabled, EntryPointsAreInertAndExportsAreEmpty) {
@@ -210,6 +237,19 @@ TEST(SnapProfDisabled, EntryPointsAreInertAndExportsAreEmpty) {
 }
 
 #endif  // ECND_OBS_DISABLED
+
+TEST(ObsExportFile, WriteThatFailsAfterOpenIsReported) {
+  // /dev/full opens fine and fails every write: the stream goes bad during
+  // the export, which an open check alone cannot see.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ::testing::internal::CaptureStderr();
+  const bool ok = obs::write_export_file(
+      "ECND_TEST", "/dev/full",
+      [](std::ostream& out) { out << std::string(1 << 16, 'x'); });
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, "[obs] write to ECND_TEST path /dev/full failed\n");
+}
 
 }  // namespace
 }  // namespace ecnd
