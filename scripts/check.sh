@@ -20,18 +20,19 @@
 #
 # --obs-smoke exercises the observability layer (see OBSERVABILITY.md): one
 # traced quick bench, JSON validity, metrics/trace bit-identical across thread
-# counts, and stdout CSV byte-identical with obs armed, idle, and compiled out
-# (-DECND_OBS=OFF in its own build tree).
+# counts, and stdout CSV byte-identical with obs armed and idle.
 #
 # --report runs the quick figure set with ECND_MANIFEST armed, gates the
 # resulting manifests against bench/expectations.json via ecnd-report, and
-# checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4, stdout
-# untouched by the writer, and no manifest file under -DECND_OBS=OFF.
+# checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4 and
+# stdout untouched by the writer.
 #
 # --perf runs the benchmark (ecndbench/, workloads in BENCHMARK.json) A/B on
 # this box: HEAD, checked out as a temporary git worktree, against the working
 # tree. Each side runs every workload once through its own ecndbench/run.py
-# (--seed 1 --seconds 30 --trace 0), and the script exits with
+# (--seed 1 --seconds 30 --trace 0). run.py stamps both sides with HEAD's
+# SHA, so the script first prints which tree each side is (HEAD, and the
+# working tree with its count of uncommitted paths). It exits with
 # ecndbench/compare.py's status: nonzero when an end-to-end metric is worse
 # than its BENCHMARK.json bound, or when the two builds' stamps differ. Both
 # sides are built and measured on the same box in the same session, so no
@@ -53,16 +54,14 @@
 # recorder"): a quick sampled incast + pause storm with ECND_FLIGHT armed,
 # postcard/timeline/pause-tree exports byte-identical at ECND_THREADS=1 vs 4,
 # JSON validity (sampled postcards present, rooted pause tree with trigger
-# flows), and stdout byte-identical with the recorder armed, idle, and
-# compiled out (-DECND_OBS=OFF, which must also write no export files).
+# flows), and stdout byte-identical with the recorder armed and idle.
 #
 # --diff-smoke exercises the differential layer (OBSERVABILITY.md "Metric
 # time-series snapshots" / "Hierarchical profiler" / "ecnd-diff"): quick runs
 # with ECND_METRICS_TS and ECND_PROF armed must export byte-identical
 # snapshots and folded profiles at ECND_THREADS=1 vs 4, ecnd-diff must exit 0
 # on an identical-seed pair and nonzero (with a first-divergence timestamp)
-# on a perturbed-seed pair, stdout must stay untouched by the sampler, and a
-# -DECND_OBS=OFF build must write no snapshot/profile files.
+# on a perturbed-seed pair, and stdout must stay untouched by the sampler.
 #
 # With no argument it runs the plain and sanitized suites. Any argument other
 # than the modes in the usage line below, or more than one, prints that line and
@@ -173,13 +172,6 @@ EOF
   cmp "$tmp/plain.csv" "$tmp/obs1.csv"
   cmp "$tmp/plain.csv" "$tmp/obs4.csv"
 
-  echo "-- stdout CSV purity (-DECND_OBS=OFF build)"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load
-  ECND_QUICK=1 build-obs-off/bench/bench_fig14_fct_vs_load \
-    > "$tmp/off.csv" 2>/dev/null
-  cmp "$tmp/plain.csv" "$tmp/off.csv"
-
   echo "obs smoke: all checks passed"
 fi
 
@@ -232,16 +224,6 @@ if [[ "$mode" == "--report" ]]; then
   build/bench/bench_fig02_dcqcn_validation > "$tmp/fig02_idle.csv" 2>/dev/null
   cmp "$tmp/out1/fig02.csv" "$tmp/fig02_idle.csv"
 
-  echo "-- no manifest under -DECND_OBS=OFF"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig02_dcqcn_validation
-  ECND_MANIFEST="$tmp/should_not_exist.json" \
-    build-obs-off/bench/bench_fig02_dcqcn_validation > /dev/null 2>&1
-  if [[ -e "$tmp/should_not_exist.json" ]]; then
-    echo "ERROR: -DECND_OBS=OFF build wrote a manifest" >&2
-    exit 1
-  fi
-
   echo "-- ecnd-report gate (bench/expectations.json)"
   build/src/report/ecnd-report \
     --expectations bench/expectations.json \
@@ -282,6 +264,8 @@ if [[ "$mode" == "--perf" ]]; then
   done
 
   echo "-- compare.py (bounds from BENCHMARK.json)"
+  dirty="$(git status --porcelain | wc -l | tr -d ' ')"
+  echo "   base = HEAD $head_sha; change = working tree on $head_sha, $dirty uncommitted paths"
   python3 ecndbench/compare.py "$tmp/base.jsonl" "$tmp/new.jsonl" || exit $?
   echo "perf gate: no end-to-end metric worse than its bound"
 fi
@@ -432,19 +416,6 @@ print(f"   {records} postcards, {len(spans)} spans, "
       f"{sum(len(task['nodes']) for task in stormy)} pause nodes")
 EOF
 
-  echo "-- compiled out (-DECND_OBS=OFF): no export files, stdout identical"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_ext_fabric
-  ECND_QUICK=1 ECND_FLIGHT="$tmp/off" ECND_FLIGHT_SAMPLE=4 \
-    build-obs-off/bench/bench_ext_fabric > "$tmp/off.txt" 2>/dev/null
-  for kind in postcards timeline pausetree; do
-    if [[ -e "$tmp/off.$kind.json" ]]; then
-      echo "ERROR: -DECND_OBS=OFF build wrote $tmp/off.$kind.json" >&2
-      exit 1
-    fi
-  done
-  cmp "$tmp/idle.txt" "$tmp/off.txt"
-
   echo "flight smoke: all checks passed"
 fi
 
@@ -492,19 +463,6 @@ if [[ "$mode" == "--diff-smoke" ]]; then
     echo "ERROR: perturbed-pair diff carries no divergence timestamp" >&2
     exit 1
   fi
-
-  echo "-- compiled out (-DECND_OBS=OFF): no snapshot/profile files"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load
-  ECND_QUICK=1 ECND_METRICS_TS="$tmp/off" ECND_PROF="$tmp/off" \
-    build-obs-off/bench/bench_fig14_fct_vs_load > "$tmp/off.csv" 2>/dev/null
-  for f in "$tmp/off.metrics_ts.json" "$tmp/off.prof.folded"; do
-    if [[ -e "$f" ]]; then
-      echo "ERROR: -DECND_OBS=OFF build wrote $f" >&2
-      exit 1
-    fi
-  done
-  cmp "$tmp/idle.csv" "$tmp/off.csv"
 
   echo "diff smoke: all checks passed"
 fi

@@ -2,17 +2,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "core/env.hpp"
 #include "core/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/task_store.hpp"
 
 namespace ecnd::par {
 namespace {
@@ -40,12 +40,8 @@ const obs::Counter kQuarantined = obs::counter("par.quarantined");
 }  // namespace
 
 std::size_t thread_count() {
-  if (const char* env = std::getenv("ECND_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      return static_cast<std::size_t>(parsed);
-    }
+  if (const auto threads = env_positive_int("ECND_THREADS")) {
+    return static_cast<std::size_t>(*threads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? hw : 1;
@@ -76,8 +72,8 @@ SweepTiming parallel_for_each(std::size_t count,
   // accounting is identical however tasks map onto threads).
   std::vector<double> task_s(count, 0.0);
 
-  // Each grid index gets its own trace buffer (TaskScope) so the exported
-  // trace depends on the grid, not on which worker ran the task.
+  // Each grid index gets its own trace/flight/snapshot buffers (TaskScope)
+  // so the exports depend on the grid, not on which worker ran the task.
   auto run_task = [&](std::size_t i) {
     obs::TaskScope scope(static_cast<std::uint32_t>(i) + 1);
     // Detached: a task's profile frame must not inherit the caller's stack —

@@ -33,8 +33,9 @@
 namespace ecnd::par {
 
 /// Worker count a sweep with threads=0 will use: ECND_THREADS when set to a
-/// positive integer, else std::thread::hardware_concurrency() (min 1). Read
-/// from the environment on every call so tests can flip it at runtime.
+/// positive integer (digits only; anything else prints one stderr line per
+/// call and is ignored), else std::thread::hardware_concurrency() (min 1).
+/// Read from the environment on every call so tests can flip it at runtime.
 std::size_t thread_count();
 
 /// Deterministic per-task seed: SplitMix64 finalization of base_seed ^ task

@@ -19,9 +19,8 @@
 //     (restricted to a [t0, t1] analysis window) through the same streaming
 //     state machine, so both paths agree by construction.
 //
-// Analyzers are pure computation — no globals, no output, no RNG — and are
-// therefore compiled unconditionally (ECND_OBS=OFF gates *export* layers
-// like the metrics registry and the manifest writer, not math).
+// Analyzers are pure computation — no globals, no output, no RNG — so they
+// run the same whether or not any obs export is armed.
 
 #include <cstddef>
 #include <optional>

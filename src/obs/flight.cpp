@@ -1,12 +1,8 @@
 #include "obs/flight.hpp"
 
-#if !defined(ECND_OBS_DISABLED)
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -15,7 +11,7 @@
 #include "obs/export_file.hpp"
 #include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/task_store.hpp"
 
 namespace ecnd::obs {
 
@@ -52,64 +48,9 @@ struct TaskFlight {
   }
 };
 
-/// Buffers keyed by task index; same ownership discipline as the tracer's
-/// rings — a buffer is only ever written by the thread currently running its
-/// task, and the sweep engine joins workers before any export.
-class FlightStore {
- public:
-  static FlightStore& instance() {
-    static FlightStore* s = new FlightStore;
-    return *s;
-  }
-
-  TaskFlight* buffer_for(std::uint32_t task) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = buffers_[task];
-    if (!slot) slot = std::make_unique<TaskFlight>(capacity_);
-    return slot.get();
-  }
-
-  void set_capacity(std::size_t cap) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = cap > 0 ? cap : 1;
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-  }
-
-  std::uint64_t dropped_total() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& [task, buf] : buffers_) total += buf->dropped();
-    return total;
-  }
-
-  std::vector<std::pair<std::uint32_t, const TaskFlight*>> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, const TaskFlight*>> out;
-    out.reserve(buffers_.size());
-    for (const auto& [task, buf] : buffers_) out.emplace_back(task, buf.get());
-    return out;
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<std::uint32_t, std::unique_ptr<TaskFlight>> buffers_;
-  std::size_t capacity_ = 1 << 16;
-};
-
-thread_local std::uint32_t t_flight_task = 0;
-thread_local TaskFlight* t_flight = nullptr;
-
-TaskFlight& current_buffer() {
-  const std::uint32_t task = detail::current_task();
-  if (t_flight == nullptr || t_flight_task != task) {
-    t_flight = FlightStore::instance().buffer_for(task);
-    t_flight_task = task;
-  }
-  return *t_flight;
+TaskStore<TaskFlight>& store() {
+  static auto* s = new TaskStore<TaskFlight>(std::size_t{1} << 16);
+  return *s;
 }
 
 /// Chrome trace timestamps: sim microseconds with fixed 6-decimal rendering
@@ -137,7 +78,7 @@ struct HopSlice {
 namespace detail {
 
 void flight_push_hop(const FlightHop& hop) {
-  TaskFlight& buf = current_buffer();
+  TaskFlight& buf = store().current();
   ++buf.hop_attempts;
   if (buf.hops.size() < buf.cap) {
     buf.hops.push_back(hop);
@@ -148,19 +89,16 @@ void flight_push_hop(const FlightHop& hop) {
 }
 
 void flight_push_flow(const FlightFlow& flow) {
-  current_buffer().flows.push_back(flow);
+  store().current().flows.push_back(flow);
   kFlightFlows.add();
 }
 
 void flight_push_pause(const FlightPause& pause) {
-  current_buffer().pauses.push_back(pause);
+  store().current().pauses.push_back(pause);
   kFlightPauses.add();
 }
 
-void flight_reset() {
-  FlightStore::instance().clear();
-  t_flight = nullptr;
-}
+void flight_reset() { store().clear(); }
 
 }  // namespace detail
 
@@ -177,15 +115,17 @@ std::uint64_t flight_sample() {
 }
 
 void set_flight_capacity(std::size_t records) {
-  FlightStore::instance().set_capacity(records);
+  store().set_capacity(records);
 }
 
 std::uint64_t flight_dropped_total() {
-  return FlightStore::instance().dropped_total();
+  std::uint64_t total = 0;
+  for (const auto& [task, buf] : store().snapshot()) total += buf->dropped();
+  return total;
 }
 
 void write_flight_postcards_json(std::ostream& out) {
-  const auto buffers = FlightStore::instance().snapshot();
+  const auto buffers = store().snapshot();
   out << "{\"schema\":\"ecnd-flight-postcards-v1\",\"sample_modulus\":"
       << flight_sample() << ",\"tasks\":[";
   const char* task_sep = "\n";
@@ -212,7 +152,7 @@ void write_flight_postcards_json(std::ostream& out) {
 }
 
 void write_flight_timeline_json(std::ostream& out) {
-  const auto buffers = FlightStore::instance().snapshot();
+  const auto buffers = store().snapshot();
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   const char* sep = "\n";
   // Lane stride: flow span at (lane+1)*16, hop h at (lane+1)*16 + 1 + h.
@@ -291,7 +231,7 @@ void write_flight_timeline_json(std::ostream& out) {
 }
 
 void write_flight_pausetree_json(std::ostream& out) {
-  const auto buffers = FlightStore::instance().snapshot();
+  const auto buffers = store().snapshot();
   out << "{\"schema\":\"ecnd-flight-pausetree-v1\",\"tasks\":[";
   const char* task_sep = "\n";
   for (const auto& [task, buf] : buffers) {
@@ -356,24 +296,3 @@ void write_flight_files(const char* prefix) {
 }
 
 }  // namespace ecnd::obs
-
-#else  // ECND_OBS_DISABLED
-
-#include <ostream>
-
-namespace ecnd::obs {
-
-void write_flight_postcards_json(std::ostream& out) {
-  out << "{\"schema\":\"ecnd-flight-postcards-v1\",\"sample_modulus\":0,"
-      << "\"tasks\":[\n]}\n";
-}
-void write_flight_timeline_json(std::ostream& out) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
-}
-void write_flight_pausetree_json(std::ostream& out) {
-  out << "{\"schema\":\"ecnd-flight-pausetree-v1\",\"tasks\":[\n]}\n";
-}
-
-}  // namespace ecnd::obs
-
-#endif  // ECND_OBS_DISABLED

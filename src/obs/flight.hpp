@@ -25,18 +25,18 @@
 // Sampling is an FNV-1a hash of (src, dst, flow_id) against the
 // ECND_FLIGHT_SAMPLE modulus — the same pure-hash idiom as sim's ecmp_hash.
 // No RNG stream is consumed, so a run's packet-level behavior is
-// bit-identical with the recorder armed, idle, or compiled out.
+// bit-identical with the recorder armed or idle.
 //
-// Records are buffered per sweep task (the obs::TaskScope index, exactly
-// like the tracer's rings), so exports are byte-identical at any
-// ECND_THREADS. Postcard buffers are bounded (keep-first + drop counter);
+// Records are buffered per sweep task in the per-task store
+// (obs/task_store.hpp, shared with the tracer), so exports are
+// byte-identical at any ECND_THREADS. Postcard buffers are bounded (keep-first + drop counter);
 // span and pause buffers are small by construction.
 //
 // Runtime knobs: ECND_FLIGHT=<prefix> arms the recorder and writes
 // <prefix>.postcards.json, <prefix>.timeline.json and <prefix>.pausetree.json
 // at process exit; ECND_FLIGHT_SAMPLE=<n> samples flows whose identity hash
-// is divisible by n (default 16; 1 = every flow). Compile-time:
-// -DECND_OBS=OFF no-ops everything here.
+// is divisible by n (default 16; 1 = every flow). Idle, a hook costs one
+// relaxed load.
 
 #include <atomic>
 #include <cstdint>
@@ -87,8 +87,6 @@ struct FlightPause {
   std::uint64_t trigger_flow = 0;  ///< flow whose arrival crossed the threshold
   const char* egress_name = "";
 };
-
-#if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
 extern std::atomic<bool> g_flight_on;
@@ -158,24 +156,5 @@ void write_flight_pausetree_json(std::ostream& out);
 /// Write all three export files under `prefix` (the ECND_FLIGHT value):
 /// <prefix>.postcards.json, <prefix>.timeline.json, <prefix>.pausetree.json.
 void write_flight_files(const char* prefix);
-
-#else  // ECND_OBS_DISABLED
-
-inline bool flight_enabled() { return false; }
-inline void set_flight_enabled(bool) {}
-inline void set_flight_sample(std::uint64_t) {}
-inline std::uint64_t flight_sample() { return kDefaultFlightSample; }
-inline bool flight_sampled(int, int, std::uint64_t) { return false; }
-inline void flight_record_hop(const FlightHop&) {}
-inline void flight_record_flow(const FlightFlow&) {}
-inline void flight_record_pause(const FlightPause&) {}
-inline std::uint64_t flight_dropped_total() { return 0; }
-inline void set_flight_capacity(std::size_t) {}
-void write_flight_postcards_json(std::ostream& out);
-void write_flight_timeline_json(std::ostream& out);
-void write_flight_pausetree_json(std::ostream& out);
-inline void write_flight_files(const char*) {}
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

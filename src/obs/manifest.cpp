@@ -1,7 +1,5 @@
 #include "obs/manifest.hpp"
 
-#if !defined(ECND_OBS_DISABLED)
-
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -175,5 +173,3 @@ bool RunManifest::write_if_requested() const {
 }
 
 }  // namespace ecnd::obs
-
-#endif  // !ECND_OBS_DISABLED

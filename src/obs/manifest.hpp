@@ -15,9 +15,7 @@
 //     machine descriptor more than byte-stable files.
 //   * Nothing here touches stdout. The manifest goes only to the
 //     ECND_MANIFEST=<path> file; a harness's CSV is byte-identical with the
-//     manifest armed, idle, or compiled out.
-//   * -DECND_OBS=OFF compiles the writer out: write_if_requested() is an
-//     inline no-op and no file is ever created, even with ECND_MANIFEST set.
+//     manifest armed or idle.
 //
 // Usage, at the end of a harness main():
 //
@@ -33,20 +31,15 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#if !defined(ECND_OBS_DISABLED)
-#include <map>
-#endif
-
 namespace ecnd::obs {
 
 inline constexpr std::string_view kManifestSchema = "ecnd-manifest-v1";
-
-#if !defined(ECND_OBS_DISABLED)
 
 class RunManifest {
  public:
@@ -102,28 +95,5 @@ class RunManifest {
   std::map<std::string, std::string> observables_;  // name -> rendered JSON
   std::vector<std::string> failures_;               // rendered JSON objects
 };
-
-#else  // ECND_OBS_DISABLED: the writer compiles out; call sites stay as-is.
-
-class RunManifest {
- public:
-  explicit RunManifest(std::string) {}
-
-  template <typename T>
-  RunManifest& param(std::string_view, T) { return *this; }
-  template <typename T>
-  RunManifest& observable(std::string_view, T) { return *this; }
-  RunManifest& failure(std::string_view, std::string_view, std::string_view,
-                       double, double, std::string_view, int) {
-    return *this;
-  }
-
-  void write(std::ostream&) const {}
-  std::string to_json() const { return {}; }
-  bool write_if_requested() const { return false; }
-  static const char* env_path() { return nullptr; }
-};
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/env.hpp"
 #include "obs/export_file.hpp"
 #include "obs/flight.hpp"
 #include "obs/json_text.hpp"
@@ -30,8 +31,6 @@ int bucket_index(std::uint64_t value) {
 std::uint64_t bucket_lower_edge(int b) {
   return b <= 0 ? 0 : std::uint64_t{1} << (b - 1);
 }
-
-#if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
 std::atomic<bool> g_metrics_on{false};
@@ -245,17 +244,14 @@ struct EnvInit {
       detail::g_snapshot_on.store(true, std::memory_order_relaxed);
     }
     if (prof) detail::g_prof_on.store(true, std::memory_order_relaxed);
-    if (const char* env = std::getenv("ECND_METRICS_TS_INTERVAL")) {
-      char* end = nullptr;
-      const double parsed = std::strtod(env, &end);
-      if (end != env && *end == '\0' && parsed > 0.0) {
-        set_snapshot_interval(parsed);
-      }
+    if (const auto interval = env_positive_real("ECND_METRICS_TS_INTERVAL")) {
+      set_snapshot_interval(*interval);
     }
-    if (const char* env = std::getenv("ECND_FLIGHT_SAMPLE")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 1) set_flight_sample(parsed);
+    if (const auto sample = env_positive_int("ECND_FLIGHT_SAMPLE")) {
+      set_flight_sample(*sample);
+    }
+    if (const auto cap = env_positive_int("ECND_TRACE_CAP")) {
+      set_trace_capacity(static_cast<std::size_t>(*cap));
     }
   }
 };
@@ -456,21 +452,5 @@ void reset() {
   detail::snapshot_reset();
   detail::prof_reset();
 }
-
-#else  // ECND_OBS_DISABLED
-
-void reset() {}
-
-const char* intern(std::string_view) { return ""; }
-
-void dump_metrics_json(std::ostream& out, bool) {
-  out << "{\n  \"schema\": \"ecnd-metrics-v1\",\n  \"compiled_out\": true\n}\n";
-}
-
-void print_summary(std::ostream& out) {
-  out << "== ecnd observability summary: compiled out (ECND_OBS=OFF) ==\n";
-}
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

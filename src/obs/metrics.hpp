@@ -21,10 +21,6 @@
 //     ECND_METRICS_WALL env knob), keeping the default dump bit-identical
 //     across thread counts and machines.
 //
-// Compile-time kill switch: configuring with -DECND_OBS=OFF defines
-// ECND_OBS_DISABLED and every entry point below collapses to an inline no-op
-// (call sites stay unconditional; the optimizer erases them).
-//
 // Runtime knobs: ECND_METRICS=<path> dumps the JSON at process exit,
 // ECND_OBS_SUMMARY=1 prints a human summary table to stderr at exit, and
 // either knob (or set_metrics_enabled(true)) arms the hot-path increments.
@@ -53,8 +49,6 @@ int bucket_index(std::uint64_t value);
 std::uint64_t bucket_lower_edge(int b);
 
 inline constexpr int kHistogramBuckets = 64;
-
-#if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
 extern std::atomic<bool> g_metrics_on;
@@ -180,37 +174,5 @@ void dump_metrics_json(std::ostream& out, bool include_wall = false);
 /// Human-readable end-of-run table (counters, gauges, histograms with
 /// count/mean/p50/max). Includes wall-clock profiling.
 void print_summary(std::ostream& out);
-
-#else  // ECND_OBS_DISABLED: every entry point is an inline no-op.
-
-inline bool metrics_enabled() { return false; }
-inline void set_metrics_enabled(bool) {}
-void reset();
-const char* intern(std::string_view s);
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) const {}
-};
-class Gauge {
- public:
-  void set_max(std::uint64_t) const {}
-};
-class Histogram {
- public:
-  void record(std::uint64_t) const {}
-};
-
-inline Counter counter(std::string_view) { return {}; }
-inline Gauge gauge(std::string_view, Domain = Domain::kSim) { return {}; }
-inline Histogram histogram(std::string_view, Domain = Domain::kSim) { return {}; }
-inline std::optional<double> histogram_percentile(std::string_view, double) {
-  return std::nullopt;
-}
-
-void dump_metrics_json(std::ostream& out, bool include_wall = false);
-void print_summary(std::ostream& out);
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

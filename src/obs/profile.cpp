@@ -1,7 +1,5 @@
 #include "obs/profile.hpp"
 
-#if !defined(ECND_OBS_DISABLED)
-
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -223,15 +221,3 @@ void write_profile_folded_file(const char* prefix, bool wall_values) {
 }
 
 }  // namespace ecnd::obs
-
-#else  // ECND_OBS_DISABLED
-
-#include <ostream>
-
-namespace ecnd::obs {
-
-void write_profile_folded(std::ostream& out, bool) { (void)out; }
-
-}  // namespace ecnd::obs
-
-#endif  // ECND_OBS_DISABLED

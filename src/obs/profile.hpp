@@ -23,7 +23,7 @@
 // worker picked it up) pass Anchor::kDetached and anchor at the root, so
 // the tree shape never depends on the schedule.
 //
-// When the relevant flag is off (or -DECND_OBS=OFF) construction takes one
+// When the relevant flag is off construction takes one
 // branch and the clock is never read. Depth is capped at 64 frames; deeper
 // scopes are counted as dropped but still time their histogram.
 //
@@ -55,8 +55,6 @@ struct ProfileNode {
 /// scheduling accident (sweep tasks under par.sweep on the main thread but
 /// not on workers).
 enum class Anchor : std::uint8_t { kNested, kDetached };
-
-#if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
 extern std::atomic<bool> g_prof_on;
@@ -154,26 +152,5 @@ void write_profile_folded(std::ostream& out, bool wall_values = false);
 /// Write <prefix>.prof.folded (the ECND_PROF exit path; wall_values mirrors
 /// ECND_PROF_WALL).
 void write_profile_folded_file(const char* prefix, bool wall_values = false);
-
-#else  // ECND_OBS_DISABLED: frames vanish, timers keep their one-branch cost.
-
-inline bool profile_enabled() { return false; }
-inline void set_profile_enabled(bool) {}
-
-class ProfScope {
- public:
-  explicit ProfScope(const char*, Anchor = Anchor::kNested) {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram&, const char* = nullptr) {}
-};
-
-inline std::vector<ProfileNode> profile_nodes() { return {}; }
-void write_profile_folded(std::ostream& out, bool wall_values = false);
-inline void write_profile_folded_file(const char*, bool = false) {}
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

@@ -1,11 +1,7 @@
 #include "obs/snapshot.hpp"
 
-#if !defined(ECND_OBS_DISABLED)
-
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -16,7 +12,7 @@
 #include "obs/export_file.hpp"
 #include "obs/json_text.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/task_store.hpp"
 
 namespace ecnd::obs {
 
@@ -75,55 +71,21 @@ class IdTable {
 /// and back): sampled value = carry ⊕ live shard cell, where ⊕ is the
 /// metric's merge operator.
 struct TaskSnap {
+  explicit TaskSnap(std::size_t capacity) : cap(capacity) {}
+
   std::vector<double> times;
   std::vector<std::vector<std::uint64_t>> samples;  ///< samples[i][id]
   std::vector<std::uint64_t> carry;                 ///< by id
   double next_t = 0.0;   ///< next sampling threshold (sim seconds)
   double last_t = -1.0;  ///< restart detector: t going backwards = new run
   std::uint64_t dropped = 0;
+  std::size_t cap;
 };
 
-/// Buffers keyed by task index; same ownership discipline as the flight
-/// recorder — a buffer is only written by the thread currently running its
-/// task, and the sweep engine joins workers before any export. `generation`
-/// invalidates the per-thread cached pointer after clear().
-class SnapStore {
- public:
-  static SnapStore& instance() {
-    static SnapStore* s = new SnapStore;
-    return *s;
-  }
-
-  TaskSnap* buffer_for(std::uint32_t task) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = buffers_[task];
-    if (!slot) slot = std::make_unique<TaskSnap>();
-    return slot.get();
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
-
-  std::vector<std::pair<std::uint32_t, const TaskSnap*>> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, const TaskSnap*>> out;
-    out.reserve(buffers_.size());
-    for (const auto& [task, buf] : buffers_) out.emplace_back(task, buf.get());
-    return out;
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<std::uint32_t, std::unique_ptr<TaskSnap>> buffers_;
-  std::atomic<std::uint64_t> generation_{0};
-};
+TaskStore<TaskSnap>& store() {
+  static auto* s = new TaskStore<TaskSnap>(kSampleCap);
+  return *s;
+}
 
 /// The calling thread's view of the registry: which shard cell feeds which
 /// series id. Rebuilt when the registry grows (metric_count is the
@@ -152,10 +114,6 @@ void refresh_layout() {
   t_layout_gen = count;
 }
 
-thread_local std::uint32_t t_snap_task = 0;
-thread_local std::uint64_t t_snap_gen = 0;
-thread_local TaskSnap* t_snap = nullptr;
-
 /// Fold the calling thread's live shard cells into `b.carry` with the
 /// per-kind merge operator (counters add, gauges max). Called when the
 /// thread's TaskScope moves on: the departing task keeps what it accrued.
@@ -177,24 +135,16 @@ void fold_shard_into(TaskSnap& b) {
 namespace detail {
 
 void snapshot_sample(double t_s) {
-  const std::uint32_t task = current_task();
-  const std::uint64_t gen = SnapStore::instance().generation();
-  if (t_snap == nullptr || t_snap_task != task || t_snap_gen != gen) {
+  TaskSnap& b = store().current([](TaskSnap* prev) {
     refresh_layout();
-    if (t_snap != nullptr && t_snap_gen == gen && t_snap_task != task) {
-      // The thread moved to another task: attribute the shard's counts to
-      // the task that produced them before zeroing.
-      fold_shard_into(*t_snap);
-    }
+    // The thread moved to another task: attribute the shard's counts to the
+    // task that produced them before zeroing.
+    if (prev != nullptr) fold_shard_into(*prev);
     // Purge schedule-dependent shard leftovers (commutative merge into the
     // global accumulator: totals unchanged) so subsequent shard reads see
     // only this task's own work.
     merge_and_zero_calling_thread();
-    t_snap = SnapStore::instance().buffer_for(task);
-    t_snap_task = task;
-    t_snap_gen = gen;
-  }
-  TaskSnap& b = *t_snap;
+  });
   if (t_s < b.last_t) b.next_t = 0.0;  // sim clock restarted: new run, resample
   b.last_t = t_s;
   if (t_s < b.next_t) return;
@@ -202,7 +152,7 @@ void snapshot_sample(double t_s) {
   refresh_layout();
   const double interval = g_interval.load(std::memory_order_relaxed);
   b.next_t = (std::floor(t_s / interval) + 1.0) * interval;
-  if (b.samples.size() >= kSampleCap) {
+  if (b.samples.size() >= b.cap) {
     ++b.dropped;
     kSnapDropped.add();
     return;
@@ -221,9 +171,8 @@ void snapshot_sample(double t_s) {
 }
 
 void snapshot_reset() {
-  SnapStore::instance().clear();
-  // Thread-local caches revalidate against the bumped store generation on
-  // the next tick; layouts stay (the registry survives reset()).
+  // Layouts stay: the registry survives reset().
+  store().clear();
 }
 
 }  // namespace detail
@@ -245,7 +194,7 @@ double snapshot_interval() {
 
 void write_metrics_ts_json(std::ostream& out) {
   const auto names = IdTable::instance().names();
-  const auto tasks = SnapStore::instance().snapshot();
+  const auto tasks = store().snapshot();
 
   std::uint64_t dropped_total = 0;
   for (const auto& [task, buf] : tasks) dropped_total += buf->dropped;
@@ -322,18 +271,3 @@ void write_metrics_ts_file(const char* prefix) {
 }
 
 }  // namespace ecnd::obs
-
-#else  // ECND_OBS_DISABLED
-
-#include <ostream>
-
-namespace ecnd::obs {
-
-void write_metrics_ts_json(std::ostream& out) {
-  out << "{\n  \"schema\": \"ecnd-metrics-ts-v1\",\n  \"interval_s\": 0.001,"
-         "\n  \"dropped_samples\": 0,\n  \"tasks\": []\n}\n";
-}
-
-}  // namespace ecnd::obs
-
-#endif  // ECND_OBS_DISABLED

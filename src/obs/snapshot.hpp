@@ -29,8 +29,7 @@
 // Runtime knobs: ECND_METRICS_TS=<prefix> arms the sampler (and metric
 // counting) and writes <prefix>.metrics_ts.json at process exit;
 // ECND_METRICS_TS_INTERVAL=<seconds> sets the sampling interval (default
-// 1 ms of sim time). Compile-time: -DECND_OBS=OFF no-ops everything here and
-// writes no files.
+// 1 ms of sim time).
 
 #include <atomic>
 #include <iosfwd>
@@ -40,8 +39,6 @@ namespace ecnd::obs {
 /// Default sampling interval in sim seconds when ECND_METRICS_TS_INTERVAL is
 /// unset: 1 ms — hundreds of samples over a typical figure horizon.
 inline constexpr double kDefaultSnapshotInterval = 1e-3;
-
-#if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
 extern std::atomic<bool> g_snapshot_on;
@@ -74,17 +71,5 @@ void write_metrics_ts_json(std::ostream& out);
 
 /// Write <prefix>.metrics_ts.json (the ECND_METRICS_TS exit path).
 void write_metrics_ts_file(const char* prefix);
-
-#else  // ECND_OBS_DISABLED
-
-inline bool snapshot_enabled() { return false; }
-inline void set_snapshot_enabled(bool) {}
-inline void set_snapshot_interval(double) {}
-inline double snapshot_interval() { return kDefaultSnapshotInterval; }
-inline void snapshot_tick(double) {}
-void write_metrics_ts_json(std::ostream& out);
-inline void write_metrics_ts_file(const char*) {}
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

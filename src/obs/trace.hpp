@@ -7,11 +7,11 @@
 // to the same axis — so a trace shows what the *scenario* did, not what the
 // host CPU did (wall-clock lives in the profiling histograms, never here).
 //
-// Each sweep task writes into its own fixed-capacity ring buffer, installed
-// by obs::TaskScope (the parallel engine wraps every task; task 0 is the
-// main thread). Exported events carry the task index as their pid, so a
-// 12-task sweep renders as 12 process tracks and the byte-for-byte output
-// depends only on the grid — never on ECND_THREADS or scheduling.
+// Each sweep task writes into its own fixed-capacity ring buffer, held in
+// the per-task store (obs/task_store.hpp; task 0 is the main thread).
+// Exported events carry the task index as their pid, so a 12-task sweep
+// renders as 12 process tracks and the byte-for-byte output depends only on
+// the grid — never on ECND_THREADS or scheduling.
 //
 // Overflow policy: a full ring overwrites its OLDEST record (the tail of a
 // run is usually the interesting part) and counts what it dropped; the count
@@ -19,7 +19,7 @@
 //
 // Runtime knobs: ECND_TRACE=<path> arms tracing and writes the JSON at
 // process exit; ECND_TRACE_CAP=<n> resizes the per-task ring (default 65536
-// events). Compile-time: -DECND_OBS=OFF no-ops everything here.
+// events). Idle, a hook costs one relaxed load.
 
 #include <atomic>
 #include <cstddef>
@@ -28,9 +28,9 @@
 #include <utility>
 #include <vector>
 
-namespace ecnd::obs {
+#include "obs/task_store.hpp"
 
-#if !defined(ECND_OBS_DISABLED)
+namespace ecnd::obs {
 
 namespace detail {
 extern std::atomic<bool> g_trace_on;
@@ -38,9 +38,6 @@ void trace_push(const char* name, char phase, double ts_us, double value,
                 std::uint64_t id);
 /// Drop every buffer (obs::reset's trace half).
 void trace_reset();
-/// The task index the calling thread currently records under (TaskScope TLS;
-/// 0 outside any scope). The flight recorder keys its buffers by this too.
-std::uint32_t current_task();
 }  // namespace detail
 
 inline bool trace_enabled() {
@@ -53,21 +50,6 @@ void set_trace_enabled(bool on);
 /// Per-task ring capacity in events. Applies to buffers created after the
 /// call; reset() drops existing buffers so tests can shrink the ring.
 void set_trace_capacity(std::size_t events);
-
-/// Route subsequent events on this thread to task `task`'s ring buffer
-/// (RAII; restores the previous task on destruction). The parallel sweep
-/// engine installs TaskScope(grid_index + 1) around every task; 0 is the
-/// main-thread default.
-class TaskScope {
- public:
-  explicit TaskScope(std::uint32_t task);
-  ~TaskScope();
-  TaskScope(const TaskScope&) = delete;
-  TaskScope& operator=(const TaskScope&) = delete;
-
- private:
-  std::uint32_t prev_;
-};
 
 /// Point event ("something happened at sim time ts"). `name` must outlive
 /// the tracer: a string literal or an obs::intern()ed string.
@@ -94,28 +76,5 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> trace_dropped_by_task();
 /// order, events in emission order within a task. Deterministic for a
 /// deterministic run at any thread count.
 void write_trace_json(std::ostream& out);
-
-#else  // ECND_OBS_DISABLED
-
-inline bool trace_enabled() { return false; }
-inline void set_trace_enabled(bool) {}
-inline void set_trace_capacity(std::size_t) {}
-
-class TaskScope {
- public:
-  explicit TaskScope(std::uint32_t) {}
-};
-
-inline void trace_instant(const char*, double, double = 0.0,
-                          std::uint64_t = 0) {}
-inline void trace_counter(const char*, double, double) {}
-inline std::uint64_t trace_dropped_total() { return 0; }
-inline std::vector<std::pair<std::uint32_t, std::uint64_t>>
-trace_dropped_by_task() {
-  return {};
-}
-void write_trace_json(std::ostream& out);
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace ecnd::obs

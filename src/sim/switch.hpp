@@ -35,7 +35,7 @@ struct PfcConfig {
 /// and a further upstream crossing can name it as parent: the edges stitch
 /// into the rooted propagation trees that measure_pause_reach reports.
 /// Recorded unconditionally when PFC is on — a handful of PODs per pause is
-/// sim-domain cheap and keeps causality available in ECND_OBS=OFF builds.
+/// sim-domain cheap and keeps causality available with every obs knob idle.
 struct PauseCause {
   std::uint64_t id = 0;        ///< (switch id << 32) | per-switch sequence
   std::uint64_t parent = 0;    ///< pause blocking the trigger's egress; 0=root

@@ -165,7 +165,6 @@ TEST(Determinism, PacketFctSweepIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-#if !defined(ECND_OBS_DISABLED)
 /// Render a RunManifest for a parallel fluid sweep, with analyzer-derived
 /// observables, at a given worker count. The manifest contract (see
 /// obs/manifest.hpp) says the rendered JSON is a function of the scenario
@@ -212,48 +211,31 @@ std::string sweep_manifest_json(std::size_t threads) {
   }
   return m.to_json();
 }
-#endif  // !ECND_OBS_DISABLED
 
 TEST(Determinism, ManifestIsBitIdenticalAcrossThreadCounts) {
-#if !defined(ECND_OBS_DISABLED)
   const std::string serial = sweep_manifest_json(1);
   const std::string parallel = sweep_manifest_json(4);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-#else
-  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
-#endif
 }
 
 TEST(Determinism, ManifestIsRepeatable) {
-#if !defined(ECND_OBS_DISABLED)
   EXPECT_EQ(sweep_manifest_json(4), sweep_manifest_json(4));
-#else
-  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
-#endif
 }
 
 TEST(Determinism, ManifestCarriesSchemaAndDigest) {
-#if !defined(ECND_OBS_DISABLED)
   const std::string blob = sweep_manifest_json(2);
   EXPECT_NE(blob.find("\"ecnd-manifest-v1\""), std::string::npos);
   EXPECT_NE(blob.find("\"metrics_digest\""), std::string::npos);
   EXPECT_NE(blob.find("\"queue_mean_kb.n10\""), std::string::npos);
-#else
-  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
-#endif
 }
 
 TEST(Determinism, MetricsDumpCoversPacketSweep) {
   // The compared blobs above contain the metrics dump; make sure it is not
   // vacuous — a packet sweep must have counted simulator events.
-#if !defined(ECND_OBS_DISABLED)
   const std::string blob = fct_sweep_csv(2);
   EXPECT_NE(blob.find("\"sim.events\""), std::string::npos);
   EXPECT_NE(blob.find("\"ecnd-metrics-v1\""), std::string::npos);
-#else
-  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
-#endif
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Flight recorder (src/obs/flight): deterministic hash sampling, per-hop
 // postcard capture on a real Clos fabric, byte-identical exports at any
-// thread count, pause-causality records, keep-first overflow accounting, and
-// the -DECND_OBS=OFF erasure contract. Everything arms the recorder
+// thread count, pause-causality records, and keep-first overflow accounting.
+// Everything arms the recorder
 // programmatically (set_flight_enabled / set_flight_sample) so the suite
 // behaves the same with or without the ECND_FLIGHT env knobs.
 
@@ -38,8 +38,6 @@ std::vector<double> values_of(const std::string& text, const std::string& key) {
   }
   return out;
 }
-
-#if !defined(ECND_OBS_DISABLED)
 
 class FixedRate final : public RateController {
  public:
@@ -320,35 +318,6 @@ TEST_F(FlightFixture, ArmingTheRecorderDoesNotPerturbTheSimulation) {
   ASSERT_GT(armed.size(), 0u);
   EXPECT_EQ(armed, idle);
 }
-
-#else  // ECND_OBS_DISABLED
-
-TEST(FlightDisabled, EveryEntryPointIsErased) {
-  obs::set_flight_enabled(true);  // no-op by contract
-  EXPECT_FALSE(obs::flight_enabled());
-  EXPECT_FALSE(obs::flight_sampled(0, 1, 1));
-  obs::set_flight_sample(1);
-  EXPECT_EQ(obs::flight_sample(), obs::kDefaultFlightSample);
-
-  obs::FlightHop hop;
-  obs::flight_record_hop(hop);  // must not crash, must not record
-  EXPECT_EQ(obs::flight_dropped_total(), 0u);
-}
-
-TEST(FlightDisabled, WritersEmitEmptySchemas) {
-  std::ostringstream postcards, timeline, pausetree;
-  obs::write_flight_postcards_json(postcards);
-  obs::write_flight_timeline_json(timeline);
-  obs::write_flight_pausetree_json(pausetree);
-  EXPECT_NE(postcards.str().find("ecnd-flight-postcards-v1"),
-            std::string::npos);
-  EXPECT_EQ(values_of(postcards.str(), "sample_modulus").at(0), 0.0);
-  EXPECT_NE(timeline.str().find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(pausetree.str().find("ecnd-flight-pausetree-v1"),
-            std::string::npos);
-}
-
-#endif  // ECND_OBS_DISABLED
 
 }  // namespace
 }  // namespace ecnd::sim

@@ -24,8 +24,6 @@
 namespace ecnd {
 namespace {
 
-#if !defined(ECND_OBS_DISABLED)
-
 /// Minimal JSON syntax checker — enough to assert our exports parse. Accepts
 /// objects, arrays, strings (with \-escapes), numbers, true/false/null.
 class JsonChecker {
@@ -385,23 +383,6 @@ TEST_F(ObsFixture, DisabledFlagMakesHotPathsNoOps) {
   obs::trace_instant("test.obs.gated_event", 1.0);
   EXPECT_EQ(trace_json().find("\"test.obs.gated_event\""), std::string::npos);
 }
-
-#else  // ECND_OBS_DISABLED
-
-TEST(ObsDisabled, EntryPointsAreInertAndExportsSayCompiledOut) {
-  EXPECT_FALSE(obs::metrics_enabled());
-  EXPECT_FALSE(obs::trace_enabled());
-  const obs::Counter c = obs::counter("test.obs.disabled");
-  c.add(42);  // must not crash; there is nowhere for the count to go
-  std::ostringstream metrics;
-  obs::dump_metrics_json(metrics);
-  EXPECT_NE(metrics.str().find("\"compiled_out\": true"), std::string::npos);
-  std::ostringstream trace;
-  obs::write_trace_json(trace);
-  EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
-}
-
-#endif  // ECND_OBS_DISABLED
 
 TEST(JsonText, EscapeGolden) {
   EXPECT_EQ(obs::json_escape("plain sw1.p0"), "plain sw1.p0");

@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/env.hpp"
 #include "core/rng.hpp"
 
 namespace ecnd {
@@ -250,6 +253,60 @@ TEST(ThreadCount, GarbageEnvFallsBackToHardware) {
 TEST(ThreadCount, ZeroEnvFallsBackToHardware) {
   const ScopedEnv env("ECND_THREADS", "0");
   EXPECT_GE(par::thread_count(), 1u);
+}
+
+TEST(ThreadCount, NegativeEnvFallsBackToHardware) {
+  // strtoul would read "-1" as 2^64 - 1 workers. Only thread_count() runs
+  // here: a sweep at that value must never start.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const ScopedEnv env("ECND_THREADS", "-1");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(par::thread_count(), hw >= 1 ? hw : 1u);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("ECND_THREADS=\"-1\""),
+            std::string::npos);
+}
+
+TEST(EnvKnob, PositiveIntAcceptsDigitsOnly) {
+  EXPECT_EQ(parse_positive_int("16"), 16u);
+  EXPECT_EQ(parse_positive_int("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"-1", "+3", "0", "abc", "", "1e-3", "inf", "nan",
+                          " 3", "3 ", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_positive_int(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(EnvKnob, PositiveRealIsFiniteAndAboveZero) {
+  EXPECT_EQ(parse_positive_real("1e-3"), 1e-3);
+  EXPECT_EQ(parse_positive_real("+3"), 3.0);
+  for (const char* bad :
+       {"-1", "0", "abc", "", "inf", "nan", "-1e-3", " 1", "1ms"}) {
+    EXPECT_FALSE(parse_positive_real(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(EnvKnob, MalformedValueKeepsTheDefaultWithOneStderrLine) {
+  {
+    const ScopedEnv env("ECND_TEST_KNOB", "-1");
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(env_positive_int("ECND_TEST_KNOB").has_value());
+    EXPECT_FALSE(env_positive_real("ECND_TEST_KNOB").has_value());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+    EXPECT_EQ(err,
+              "ecnd: ignoring ECND_TEST_KNOB=\"-1\" (want a positive integer); "
+              "using the default\n"
+              "ecnd: ignoring ECND_TEST_KNOB=\"-1\" (want a positive number); "
+              "using the default\n");
+  }
+  {
+    const ScopedEnv env("ECND_TEST_KNOB", "2");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(env_positive_int("ECND_TEST_KNOB"), 2u);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  }
+  ::unsetenv("ECND_TEST_KNOB");
+  EXPECT_FALSE(env_positive_int("ECND_TEST_KNOB").has_value());
 }
 
 }  // namespace

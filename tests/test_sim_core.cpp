@@ -656,7 +656,6 @@ TEST(EventPool, SteadyStateChurnKeepsPendingBounded) {
 }
 
 TEST(EventPool, PoolReuseMetricCountsFreeListHandouts) {
-#if !defined(ECND_OBS_DISABLED)
   // sim.event_pool_reuse counts slots served from the free list. A slot is
   // released only after its action returns, so an action's own follow-up
   // takes the previously released slot (or a fresh one if none is free).
@@ -690,9 +689,6 @@ TEST(EventPool, PoolReuseMetricCountsFreeListHandouts) {
   }
   obs::set_metrics_enabled(false);
   obs::reset();
-#else
-  GTEST_SKIP() << "observability compiled out (ECND_OBS=OFF)";
-#endif
 }
 
 }  // namespace

@@ -25,8 +25,6 @@
 namespace ecnd {
 namespace {
 
-#if !defined(ECND_OBS_DISABLED)
-
 /// Arm metrics for one test, disarm snapshot/profiler and clear on the way
 /// out so leftover series/frames cannot leak into other obs tests.
 class SnapProfFixture : public ::testing::Test {
@@ -222,21 +220,6 @@ TEST_F(SnapProfFixture, UnopenableExportPathsAreReported) {
         << err;
   }
 }
-
-#else  // ECND_OBS_DISABLED
-
-TEST(SnapProfDisabled, EntryPointsAreInertAndExportsAreEmpty) {
-  EXPECT_FALSE(obs::snapshot_enabled());
-  EXPECT_FALSE(obs::profile_enabled());
-  obs::snapshot_tick(0.0);  // must not crash
-  { obs::ProfScope scope("test.prof.compiled_out"); }
-  std::ostringstream folded;
-  obs::write_profile_folded(folded);
-  EXPECT_TRUE(folded.str().empty());
-  EXPECT_TRUE(obs::profile_nodes().empty());
-}
-
-#endif  // ECND_OBS_DISABLED
 
 TEST(ObsExportFile, WriteThatFailsAfterOpenIsReported) {
   // /dev/full opens fine and fails every write: the stream goes bad during
